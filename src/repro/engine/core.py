@@ -46,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro.engine.records import DocumentRecord, MacroRecord, sha256_hex
+from repro.engine.stream import deadline_limited
 from repro.engine.stages import (
     AnalyzeStage,
     ClassifyStage,
@@ -422,9 +423,7 @@ class AnalysisEngine:
             # Quarantine is an infrastructure observation about this run,
             # not a property of the content — never serve it from cache.
             return
-        if record.degraded and any(
-            diag.stage == "deadline" for diag in record.diagnostics
-        ):
+        if deadline_limited(record):
             # Shaped by one request's deadline, not by the content: the
             # same document under a patient caller analyzes fully.
             return
@@ -456,22 +455,55 @@ class AnalysisEngine:
 
     def run(self, source, source_id: str | None = None) -> DocumentRecord:
         """Analyze one document (path, bytes, or (id, bytes) pair)."""
-        sid, data, error = _coerce_input(source)
+        return self._run_one(source, source_id=source_id)
+
+    def _run_one(
+        self, item, deadline_s: float | None = None, *, source_id: str | None = None
+    ) -> DocumentRecord:
+        """The serial document path behind :meth:`run` and the ``jobs <= 1``
+        faces of :meth:`stream` and :meth:`astream`: coerce, serve from
+        the cache, else process and cache."""
+        sid, data, error = _coerce_input(item)
         if source_id is not None:
             sid = source_id
         if error is not None:
-            record = DocumentRecord(source_id=sid)
-            record.diag("read", "error", error)
-            return record
+            return _unreadable(sid, error)
         digest = sha256_hex(data)
         cached = self._cache_get(digest)
         if cached is not None:
             return self._cached_copy(cached, sid)
-        record = self._process(sid, data, digest)
-        self._cache_put(digest, record)
+        record = self._process(sid, data, digest, deadline_s)
+        self._cache_put(digest, record)  # refuses deadline-shaped records
         return record
 
-    def _process(self, source_id: str, data: bytes, digest: str) -> DocumentRecord:
+    def _process(
+        self,
+        source_id: str,
+        data: bytes,
+        digest: str,
+        deadline_s: float | None = None,
+    ) -> DocumentRecord:
+        """One document through the stages.
+
+        ``deadline_s`` is a request deadline in seconds: the document
+        analyzes under the engine budget clipped to it (which also arms
+        the per-stage watchdog), and a record it degrades is marked with a
+        ``deadline`` diagnostic so no cache ever keeps it.
+        """
+        if deadline_s is not None:
+            saved = self.budget
+            self.budget = clip_budget(saved, deadline_s)
+            try:
+                record = self._process(source_id, data, digest)
+            finally:
+                self.budget = saved
+            if record.degraded:
+                record.diag(
+                    "deadline",
+                    "info",
+                    f"analyzed under a {deadline_s:.3f}s request deadline",
+                )
+            return record
         record = DocumentRecord(source_id=source_id, data=data, sha256=digest)
         metrics = self.metrics
         budget = self.budget
@@ -665,11 +697,53 @@ class AnalysisEngine:
         counters) incrementally and is complete before this method
         returns.
         """
-        if not self.metrics.enabled:
-            return self._run_batch(inputs, jobs, window)
         span = self.metrics.span("batch").start()
         try:
-            return self._run_batch(inputs, jobs, window)
+            prepared = [_coerce_input(item) for item in inputs]
+            records: list[DocumentRecord | None] = [None] * len(prepared)
+
+            # Positions that need processing, grouped by content hash.
+            pending: dict[str, list[int]] = {}
+            for index, (sid, data, error) in enumerate(prepared):
+                if error is not None:
+                    records[index] = _unreadable(sid, error)
+                    continue
+                digest = sha256_hex(data)
+                cached = self._cache_get(digest)
+                if cached is not None:
+                    records[index] = self._cached_copy(cached, sid)
+                    continue
+                pending.setdefault(digest, []).append(index)
+
+            unique = [
+                (digest, prepared[positions[0]][0], prepared[positions[0]][1])
+                for digest, positions in pending.items()
+            ]
+            if jobs > 1 and len(unique) > 1:
+                # Per-task dispatch over the warm pool.  The tasks are unique
+                # by digest, so each key *is* its digest, and completion order
+                # is fine: records are reassembled by position below.
+                pool = self._stream_pool(jobs, window)
+                entries = (("task", d, sid, data, d) for d, sid, data in unique)
+                processed = {
+                    result.key: result.record
+                    for result in pool.stream(entries, ordered=False)
+                }
+            else:
+                processed = {
+                    digest: self._process(sid, data, digest)
+                    for digest, sid, data in unique
+                }
+
+            for digest, positions in pending.items():
+                record = processed[digest]
+                self._cache_put(digest, record)
+                first, *rest = positions  # record was processed under first's id
+                records[first] = record
+                for index in rest:
+                    self.cache_hits += 1
+                    records[index] = self._cached_copy(record, prepared[index][0])
+            return records  # type: ignore[return-value]
         finally:
             span.finish()
 
@@ -704,29 +778,22 @@ class AnalysisEngine:
                 yield record
             return
         pool = self._stream_pool(jobs, window)
-
-        def entries():
-            for seq, item in enumerate(inputs):
-                yield self._stream_entry(seq, item)
-
-        for result in pool.stream(entries(), ordered=ordered):
+        entries = (self._stream_entry(seq, item) for seq, item in enumerate(inputs))
+        for result in pool.stream(entries, ordered=ordered):
             self._settle_stream_result(result)
             yield result.record
 
-    def _stream_entry(self, key, item, deadline_s: float | None = None) -> tuple:
-        """Coerce one input into a tagged :meth:`StreamingPool.stream` entry."""
+    def _stream_entry(self, key, item, deadline: float | None = None) -> tuple:
+        """Coerce one input into a tagged :meth:`StreamingPool.astream`
+        entry; ``deadline`` is an absolute ``time.monotonic()`` instant."""
         sid, data, error = _coerce_input(item)
         if error is not None:
-            record = DocumentRecord(source_id=sid)
-            record.diag("read", "error", error)
-            return ("ready", key, record)
+            return ("ready", key, _unreadable(sid, error))
         digest = sha256_hex(data)
         cached = self._cache_get(digest)
         if cached is not None:
             return ("ready", key, self._cached_copy(cached, sid))
-        if deadline_s is not None:
-            return ("task", key, sid, data, digest, time.monotonic() + deadline_s)
-        return ("task", key, sid, data, digest)
+        return ("task", key, sid, data, digest, deadline)
 
     def _settle_stream_result(self, result) -> None:
         """Parent-side bookkeeping for one settled stream result."""
@@ -762,131 +829,26 @@ class AnalysisEngine:
         :meth:`~repro.engine.stream.StreamingPool.astream` loop.
         """
         if jobs <= 1:
-            if hasattr(inputs, "__aiter__"):
-                async for item in inputs:
-                    yield await asyncio.to_thread(
-                        self._run_with_deadline, item, deadline_s
-                    )
-            else:
-                for item in inputs:
-                    yield await asyncio.to_thread(
-                        self._run_with_deadline, item, deadline_s
-                    )
+            async for item in _aiter_entries(inputs):
+                record = await asyncio.to_thread(self._run_one, item, deadline_s)
+                self._observability_tick()
+                yield record
             return
         pool = self._stream_pool(jobs, window)
 
         async def entries():
             seq = 0
-            if hasattr(inputs, "__aiter__"):
-                async for item in inputs:
-                    yield self._stream_entry(seq, item, deadline_s)
-                    seq += 1
-            else:
-                for item in inputs:
-                    yield self._stream_entry(seq, item, deadline_s)
-                    seq += 1
+            async for item in _aiter_entries(inputs):
+                deadline = (
+                    time.monotonic() + deadline_s if deadline_s is not None else None
+                )
+                yield self._stream_entry(seq, item, deadline)
+                seq += 1
 
         async for result in pool.astream(entries(), ordered=ordered):
             self._settle_stream_result(result)
             yield result.record
 
-    def _run_with_deadline(
-        self, item, deadline_s: float | None
-    ) -> DocumentRecord:
-        """Serial :meth:`run` under an optional per-request deadline."""
-        if deadline_s is None:
-            record = self.run(item)
-            self._observability_tick()
-            return record
-        sid, data, error = _coerce_input(item)
-        if error is not None:
-            record = DocumentRecord(source_id=sid)
-            record.diag("read", "error", error)
-            return record
-        digest = sha256_hex(data)
-        cached = self._cache_get(digest)
-        if cached is not None:
-            self._observability_tick()
-            return self._cached_copy(cached, sid)
-        saved = self.budget
-        self.budget = clip_budget(saved, deadline_s)
-        try:
-            record = self._process(sid, data, digest)
-        finally:
-            self.budget = saved
-        if record.degraded:
-            record.diag(
-                "deadline",
-                "info",
-                f"analyzed under a {deadline_s:.3f}s request deadline",
-            )
-        self._cache_put(digest, record)  # refuses deadline-shaped records
-        self._observability_tick()
-        return record
-
-    def _run_batch(
-        self, inputs: Iterable, jobs: int, window: int | None = None
-    ) -> list[DocumentRecord]:
-        prepared = [_coerce_input(item) for item in inputs]
-        records: list[DocumentRecord | None] = [None] * len(prepared)
-
-        # Positions that need processing, grouped by content hash.
-        pending: dict[str, list[int]] = {}
-        digests: dict[int, str] = {}
-        for index, (sid, data, error) in enumerate(prepared):
-            if error is not None:
-                record = DocumentRecord(source_id=sid)
-                record.diag("read", "error", error)
-                records[index] = record
-                continue
-            digest = sha256_hex(data)
-            digests[index] = digest
-            cached = self._cache_get(digest)
-            if cached is not None:
-                records[index] = self._cached_copy(cached, sid)
-                continue
-            pending.setdefault(digest, []).append(index)
-
-        unique = [
-            (digest, prepared[positions[0]][0], prepared[positions[0]][1])
-            for digest, positions in pending.items()
-        ]
-        if jobs > 1 and len(unique) > 1:
-            processed = self._process_parallel(unique, jobs, window)
-        else:
-            processed = {
-                digest: self._process(sid, data, digest)
-                for digest, sid, data in unique
-            }
-
-        for digest, positions in pending.items():
-            record = processed[digest]
-            self._cache_put(digest, record)
-            first, *rest = positions  # record was processed under first's id
-            records[first] = record
-            for index in rest:
-                self.cache_hits += 1
-                records[index] = self._cached_copy(record, prepared[index][0])
-        return records  # type: ignore[return-value]
-
-    def _process_parallel(
-        self,
-        unique: list[tuple[str, str, bytes]],
-        jobs: int,
-        window: int | None = None,
-    ) -> dict[str, DocumentRecord]:
-        """Per-task dispatch over the persistent warm pool.
-
-        Inputs are already deduplicated by digest, so each task's key *is*
-        its digest; completion order is irrelevant here because the batch
-        shell reassembles records by position.
-        """
-        pool = self._stream_pool(jobs, window)
-        entries = (("task", digest, sid, data, digest) for digest, sid, data in unique)
-        return {
-            result.key: result.record
-            for result in pool.stream(entries, ordered=False)
-        }
 
     def _merge_worker_telemetry(self, telemetry: dict) -> None:
         """Fold one worker's registry snapshot + cache counts into ours."""
@@ -973,6 +935,25 @@ def _coerce_input(item) -> tuple[str, bytes | None, str | None]:
             return str(path), handle.read(), None
     except OSError as error:
         return str(path), None, str(error)
+
+
+def _aiter_entries(items) -> AsyncIterator:
+    """An async iterator over ``items``, whichever flavor it already is."""
+    if hasattr(items, "__aiter__"):
+        return items.__aiter__()
+
+    async def adapt() -> AsyncIterator:
+        for item in items:
+            yield item
+
+    return adapt()
+
+
+def _unreadable(source_id: str, error: str) -> DocumentRecord:
+    """The record for an input that could not be read."""
+    record = DocumentRecord(source_id=source_id)
+    record.diag("read", "error", error)
+    return record
 
 
 def _chunked(items: list, jobs: int) -> list[list]:

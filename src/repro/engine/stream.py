@@ -31,6 +31,13 @@ and import cost, and one slow document stalled its whole round.  A
   exponential backoff) and quarantined when retries are exhausted, while
   only the dead slot is rebuilt — surviving workers stay warm.
 
+There is **one dispatch loop**, :meth:`StreamingPool.astream`: admission,
+dispatch, settle, retry, quarantine and the reorder buffer live there
+once.  :meth:`StreamingPool.stream` is its sync face — the same loop run
+one result at a time on a private event loop — so ``run_batch``,
+``AnalysisEngine.stream`` and the serving gateway share every deadline,
+blame and coalescing rule.
+
 Worker telemetry folds back **incrementally**: every
 ``telemetry_every``-th task a worker attaches a registry snapshot to its
 result and resets, and a final flush at end of stream collects the
@@ -80,19 +87,21 @@ import time
 import weakref
 from collections import deque
 from collections.abc import AsyncIterator, Iterable, Iterator
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.engine.records import DocumentRecord
 from repro.resilience import recovery as _recovery
-from repro.resilience.budgets import clip_budget
 from repro.resilience.quarantine import quarantine_record
 from repro.resilience.recovery import DEFAULT_RETRY, RetryPolicy
 
 #: Tasks a worker completes between incremental telemetry flushes.
 DEFAULT_TELEMETRY_EVERY = 16
+
+#: Seconds :meth:`StreamingPool.close` waits for its executors to shut down.
+_CLOSE_JOIN_S = 2.0
 
 #: Default backpressure window per worker when none is given.
 _WINDOW_PER_JOB = 4
@@ -160,6 +169,7 @@ class _Task:
         "attempt",
         "followers",
         "deadline",
+        "record",
     )
 
     def __init__(
@@ -178,6 +188,8 @@ class _Task:
         self.followers: list[tuple[object, str]] = []
         #: absolute ``time.monotonic()`` request deadline, or None
         self.deadline = deadline
+        #: the settled record, kept for late twins until it is yielded
+        self.record: DocumentRecord | None = None
 
 
 def deadline_expired_record(source_id: str, digest: str) -> DocumentRecord:
@@ -351,9 +363,19 @@ class StreamingPool:
             if self._closed:
                 return
             self._closed = True
+        managers = []
         for slot in self._slots:
+            managers.append(getattr(slot.executor, "_executor_manager_thread", None))
             slot.executor.shutdown(wait=False, cancel_futures=True)
             self._unlink_segments(slot)
+        # Let each executor finish shutting down, so an interpreter exit
+        # right after close() does not race a half-closed executor (the
+        # stdlib exit hook writes to its wakeup pipe unlocked).  Bounded: a
+        # worker stuck in a task must not hold close() hostage.
+        deadline = time.monotonic() + _CLOSE_JOIN_S
+        for manager in managers:
+            if manager is not None:
+                manager.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "StreamingPool":
         return self
@@ -366,16 +388,61 @@ class StreamingPool:
     def stream(
         self, entries: Iterable[tuple], *, ordered: bool = False
     ) -> Iterator[StreamResult]:
+        """The sync face of :meth:`astream`: the same loop, driven one
+        result at a time on a private event loop.
+
+        Every contract of :meth:`astream` holds unchanged — the consumer
+        takes each result before the loop admits past it, so the window
+        still bounds admission against what the caller has consumed.
+        Closing the generator early closes the async loop (its telemetry
+        flush included) and shuts the private event loop down.  Async
+        code must use :meth:`astream`: this face blocks, so calling it
+        from a running event loop raises ``RuntimeError``.
+        """
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            pass
+        else:
+            raise RuntimeError(
+                "StreamingPool.stream() blocks and cannot run inside a "
+                "running event loop; use astream() from async code"
+            )
+        loop = asyncio.new_event_loop()
+        results = self.astream(entries, ordered=ordered)
+        try:
+            while True:
+                try:
+                    result = loop.run_until_complete(anext(results))
+                except StopAsyncIteration:
+                    return
+                yield result
+        finally:
+            try:
+                loop.run_until_complete(results.aclose())
+                # An early close cancels the outstanding feed pull; let
+                # it finish before the loop goes away.
+                leftovers = asyncio.all_tasks(loop)
+                if leftovers:
+                    loop.run_until_complete(asyncio.wait(leftovers))
+            finally:
+                loop.close()
+
+    async def astream(
+        self, entries, *, ordered: bool = False
+    ) -> AsyncIterator[StreamResult]:
         """Drive tagged entries through the warm workers.
 
-        ``entries`` is an iterable (consumed lazily, never materialized) of
+        ``entries`` is a sync or async iterable (consumed lazily, never
+        materialized) of
 
         * ``("task", key, source_id, data, digest)`` — analyze ``data`` on
-          a worker.  Entries sharing a ``digest`` while one is in flight
-          are *coalesced*: analyzed once, the twins yielded as copies.  An
-          optional sixth element is an absolute ``time.monotonic()``
-          deadline: tasks still queued when it passes settle immediately
-          as degraded deadline records (releasing their window slot), and
+          a worker.  Entries sharing a ``digest`` with a task that is in
+          flight, or settled but not yet yielded, are *coalesced*:
+          analyzed once, the twins yielded as copies.  An optional sixth
+          element is an absolute ``time.monotonic()`` deadline (or None):
+          tasks still queued when it passes settle immediately as
+          degraded deadline records (releasing their window slot), and
           dispatched tasks analyze under a budget clipped to the seconds
           remaining;
         * ``("ready", key, record)`` — a pre-completed record (a parent
@@ -386,16 +453,46 @@ class StreamingPool:
         At most ``self.window`` entries are admitted beyond what has been
         yielded, which bounds the reorder buffer and the in-flight set
         alike.
+
+        The loop never blocks on a worker: a finished worker future wakes
+        it through ``call_soon_threadsafe``, and retry backoff runs in the
+        default executor.  An async feed is pulled *concurrently* with
+        settling (a live server feed may be idle while tasks are in
+        flight, so blocking on the next entry would deadlock a request
+        multiplexer); a sync feed is pulled in place.
         """
         self._begin_stream()
         engine = self._engine_ref()
         metrics = self._metrics
-        source = iter(entries)
+        loop = asyncio.get_running_loop()
+        # A sync feed is pulled in place; an async one through a task, so
+        # an idle live feed never blocks settling.
+        source = entries.__aiter__() if hasattr(entries, "__aiter__") else None
+        feed = iter(entries) if source is None else None
         exhausted = False
+        fetch: asyncio.Task | None = None  # the one outstanding feed pull
         waiting: deque[_Task] = deque()
         inflight: dict[Future, tuple[_Slot, _Task]] = {}
+        landed: deque[Future] = deque()  # finished worker futures, unsettled
+        wake: asyncio.Future | None = None  # what step 5 parks on
+
+        def rouse(_=None) -> None:
+            if wake is not None and not wake.done():
+                wake.set_result(None)
+
+        def land(future: Future) -> None:
+            landed.append(future)
+            rouse()
+
+        def on_done(future: Future) -> None:  # runs on the executor's thread
+            try:
+                loop.call_soon_threadsafe(land, future)
+            except RuntimeError:  # this stream is over and its loop closed
+                pass
+
         idle: list[_Slot] = list(self._slots)
-        primaries: dict[str, _Task] = {}  # digest -> in-flight/waiting task
+        #: digest -> the task analyzing it, until its result is yielded
+        primaries: dict[str, _Task] = {}
         buffer: dict[object, StreamResult] = {}
         expected: deque = deque()  # admitted keys in order (ordered mode)
         admitted = 0
@@ -408,11 +505,15 @@ class StreamingPool:
 
         try:
             while True:
-                # 1. Admit from the feed while the window has room.
-                while not exhausted and admitted - yielded < self.window:
-                    try:
-                        entry = next(source)
-                    except StopIteration:
+                # 1. Admit while the window has room (at most one async
+                #    feed pull outstanding).
+                while not exhausted and fetch is None and admitted - yielded < self.window:
+                    if feed is None:
+                        fetch = asyncio.ensure_future(anext(source))
+                        fetch.add_done_callback(rouse)
+                        break
+                    entry = next(feed, None)
+                    if entry is None:
                         exhausted = True
                         break
                     admitted += 1
@@ -420,115 +521,6 @@ class StreamingPool:
 
                 # 2. Dispatch while workers are free (expired tasks settle
                 #    in place instead of occupying a worker).
-                while waiting and idle:
-                    task = waiting.popleft()
-                    if task.deadline is not None and time.monotonic() >= task.deadline:
-                        self._expire_task(task, buffer, primaries)
-                        continue
-                    slot = idle.pop()
-                    inflight[self._submit(slot, task)] = (slot, task)
-
-                occupancy = admitted - yielded
-                if occupancy > self.peak_in_flight:
-                    self.peak_in_flight = occupancy
-                    in_flight_gauge.set(occupancy)
-                if len(inflight) > self.peak_dispatched:
-                    self.peak_dispatched = len(inflight)
-                if len(buffer) > depth_gauge.value:
-                    depth_gauge.set(len(buffer))
-
-                # 3. Yield whatever the contract allows.
-                progressed = False
-                if ordered:
-                    while expected and expected[0] in buffer:
-                        yield buffer.pop(expected.popleft())
-                        yielded += 1
-                        progressed = True
-                else:
-                    while buffer:
-                        key, result = next(iter(buffer.items()))
-                        del buffer[key]
-                        yield result
-                        yielded += 1
-                        progressed = True
-                if progressed:
-                    continue  # freed window slots: admit before blocking
-
-                # 4. Done?
-                if exhausted and not inflight and not waiting:
-                    break
-
-                # 5. Block until any worker finishes, then settle results.
-                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    slot, task = inflight.pop(future)
-                    step, delay = self._settle_future(
-                        engine, slot, task, future, idle, waiting, buffer, primaries
-                    )
-                    completed += step
-                    if delay is not None:
-                        # Backoff before the retry runs; tests monkeypatch
-                        # recovery._sleep.
-                        _recovery._sleep(delay)
-                # Sliding windows / drift monitors advance from the settle
-                # loop too, not only on telemetry flushes — both time-gate
-                # internally, so this is a few attribute checks per wake-up.
-                if engine is not None:
-                    engine._observability_tick()
-        finally:
-            self._streaming = False
-            if engine is not None and metrics.enabled:
-                self._flush_telemetry(engine)
-                elapsed = time.perf_counter() - started_at
-                if completed and elapsed > 0.0:
-                    metrics.gauge("stream.tasks_per_sec").set(
-                        round(completed / elapsed, 3)
-                    )
-
-    async def astream(
-        self, entries, *, ordered: bool = False
-    ) -> AsyncIterator[StreamResult]:
-        """:meth:`stream`, but friendly to a running event loop.
-
-        Accepts a sync or async iterable of the same tagged entries and
-        preserves every contract — ordered/completion-order yields, the
-        admission window, coalescing, per-task blame, quarantine, and
-        telemetry merge — while never blocking the loop: worker futures
-        are awaited through :func:`asyncio.wrap_future`, retry backoff
-        runs in the default executor, and admission pulls from the feed
-        *concurrently* with settling (a live server feed may be idle while
-        tasks are in flight, so blocking on the next entry would deadlock
-        a request multiplexer).
-        """
-        self._begin_stream()
-        engine = self._engine_ref()
-        metrics = self._metrics
-        loop = asyncio.get_running_loop()
-        source = _aiter_entries(entries)
-        exhausted = False
-        fetch: asyncio.Task | None = None  # the one outstanding feed pull
-        waiting: deque[_Task] = deque()
-        inflight: dict[Future, tuple[_Slot, _Task]] = {}
-        bridges: dict[asyncio.Future, Future] = {}  # wrapped -> worker future
-        idle: list[_Slot] = list(self._slots)
-        primaries: dict[str, _Task] = {}
-        buffer: dict[object, StreamResult] = {}
-        expected: deque = deque()
-        admitted = 0
-        yielded = 0
-        completed = 0
-        started_at = time.perf_counter()
-
-        in_flight_gauge = metrics.gauge("stream.in_flight")
-        depth_gauge = metrics.gauge("stream.queue_depth")
-
-        try:
-            while True:
-                # 1. Keep one feed pull outstanding while the window has room.
-                if not exhausted and fetch is None and admitted - yielded < self.window:
-                    fetch = asyncio.ensure_future(anext(source))
-
-                # 2. Dispatch while workers are free.
                 now = time.monotonic()
                 while waiting and idle:
                     task = waiting.popleft()
@@ -538,7 +530,7 @@ class StreamingPool:
                     slot = idle.pop()
                     future = self._submit(slot, task)
                     inflight[future] = (slot, task)
-                    bridges[asyncio.wrap_future(future, loop=loop)] = future
+                    future.add_done_callback(on_done)
 
                 occupancy = admitted - yielded
                 if occupancy > self.peak_in_flight:
@@ -551,18 +543,24 @@ class StreamingPool:
 
                 # 3. Yield whatever the contract allows.
                 progressed = False
-                if ordered:
-                    while expected and expected[0] in buffer:
-                        yield buffer.pop(expected.popleft())
-                        yielded += 1
-                        progressed = True
-                else:
-                    while buffer:
-                        key, result = next(iter(buffer.items()))
-                        del buffer[key]
-                        yield result
-                        yielded += 1
-                        progressed = True
+                while True:
+                    if ordered:
+                        if not expected or expected[0] not in buffer:
+                            break
+                        result = buffer.pop(expected.popleft())
+                    elif buffer:
+                        result = buffer.pop(next(iter(buffer)))
+                    else:
+                        break
+                    # The consumer caches a yielded record before the loop
+                    # resumes, so later twins no longer need the primary.
+                    if result.computed:
+                        primary = primaries.get(result.record.sha256)
+                        if primary is not None and primary.key == result.key:
+                            del primaries[primary.digest]
+                    yield result
+                    yielded += 1
+                    progressed = True
                 if progressed:
                     continue  # freed window slots: admit before parking
 
@@ -572,20 +570,19 @@ class StreamingPool:
 
                 # 5. Park until the feed produces, any worker finishes, or
                 #    the nearest queued deadline expires.
-                waits: set = set(bridges)
-                if fetch is not None:
-                    waits.add(fetch)
-                timeout = self._nearest_deadline(waiting)
-                if not waits:
-                    # Only queued-but-undispatchable tasks remain (every
-                    # deadline task waiting on a slot): sleep to its expiry.
-                    await asyncio.sleep(timeout if timeout is not None else 0.01)
-                    continue
-                done, _ = await asyncio.wait(
-                    waits, timeout=timeout, return_when=asyncio.FIRST_COMPLETED
-                )
-                if fetch is not None and fetch in done:
-                    done.discard(fetch)
+                if not landed and not (fetch is not None and fetch.done()):
+                    timeout = self._nearest_deadline(waiting)
+                    if timeout is None and not inflight and fetch is None:
+                        timeout = 0.01  # nothing else could wake the loop
+                    wake = loop.create_future()
+                    timer = None if timeout is None else loop.call_later(timeout, rouse)
+                    try:
+                        await wake
+                    finally:
+                        wake = None
+                        if timer is not None:
+                            timer.cancel()
+                if fetch is not None and fetch.done():
                     try:
                         entry = fetch.result()
                     except StopAsyncIteration:
@@ -596,39 +593,38 @@ class StreamingPool:
                             entry, ordered, expected, buffer, primaries, waiting
                         )
                     fetch = None
-                for bridge in done:
-                    if not bridge.cancelled():
-                        bridge.exception()  # mark retrieved; settled below
-                    future = bridges.pop(bridge)
+                while landed:
+                    future = landed.popleft()
                     slot, task = inflight.pop(future)
                     step, delay = self._settle_future(
                         engine, slot, task, future, idle, waiting, buffer, primaries
                     )
                     completed += step
                     if delay is not None:
-                        # Same monkeypatchable backoff as the sync path,
-                        # parked on a thread so the loop stays responsive.
+                        # Backoff before the retry runs, parked on a thread
+                        # so the loop stays responsive; tests monkeypatch
+                        # recovery._sleep.
                         await loop.run_in_executor(None, _recovery._sleep, delay)
+                # Sliding windows / drift monitors advance from the settle
+                # loop too, not only on telemetry flushes — both time-gate
+                # internally, so this is a few attribute checks per wake-up.
                 if engine is not None:
                     engine._observability_tick()
         finally:
             self._streaming = False
             if fetch is not None:
                 fetch.cancel()
-            for bridge in bridges:
-                bridge.cancel()  # drop wrappers; worker tasks run to completion
+            for future in inflight:
+                future.cancel()  # tasks not yet on a worker; running ones finish
             if engine is not None and metrics.enabled:
-                try:
-                    await loop.run_in_executor(None, self._flush_telemetry, engine)
-                except RuntimeError:  # loop already shutting down its executor
-                    pass
+                await self._flush_telemetry(engine)
                 elapsed = time.perf_counter() - started_at
                 if completed and elapsed > 0.0:
                     metrics.gauge("stream.tasks_per_sec").set(
                         round(completed / elapsed, 3)
                     )
 
-    # -- pieces shared by the sync and async dispatch loops ------------
+    # -- dispatch-loop pieces ------------------------------------------
 
     def _begin_stream(self) -> None:
         if self._closed:
@@ -661,7 +657,12 @@ class StreamingPool:
         deadline = rest[0] if rest else None
         primary = primaries.get(digest)
         if primary is not None:
-            primary.followers.append((key, source_id))
+            if primary.record is None:
+                primary.followers.append((key, source_id))
+            else:  # settled, waiting behind a slower head-of-line result
+                buffer[key] = StreamResult(
+                    key, _twin(primary.record, source_id), False, True
+                )
             return
         task = _Task(key, source_id, data, digest, deadline)
         primaries[digest] = task
@@ -675,8 +676,6 @@ class StreamingPool:
         leak admission capacity.  Nothing is cached: ``computed`` stays
         False and the record carries the ``deadline`` marker.
         """
-        from repro.engine.core import AnalysisEngine
-
         metrics = self._metrics
         if metrics.enabled:
             metrics.counter("stream.deadline_expired").inc(1 + len(task.followers))
@@ -684,9 +683,7 @@ class StreamingPool:
         primaries.pop(task.digest, None)
         buffer[task.key] = StreamResult(task.key, record, False, False)
         for key, source_id in task.followers:
-            buffer[key] = StreamResult(
-                key, AnalysisEngine._cached_copy(record, source_id), False, False
-            )
+            buffer[key] = StreamResult(key, _twin(record, source_id), False, False)
 
     @staticmethod
     def _nearest_deadline(waiting: deque) -> float | None:
@@ -716,7 +713,7 @@ class StreamingPool:
 
         Returns ``(completed_delta, retry_delay)``.  A non-None delay
         means the task was requeued for retry and the caller owes it a
-        backoff sleep (blocking in the sync loop, off-loop in async).
+        backoff sleep.
         """
         metrics = self._metrics
         try:
@@ -833,14 +830,21 @@ class StreamingPool:
         buffer: dict,
         primaries: dict,
     ) -> None:
-        from repro.engine.core import AnalysisEngine
+        """Buffer the record and its twins' copies.
 
-        primaries.pop(task.digest, None)
+        A record the consumer will cache stays findable in ``primaries``
+        until it is yielded, so a twin admitted meanwhile is served from
+        it instead of being analyzed again.  Quarantine and deadline
+        records are never cached, and later twins must not inherit them.
+        """
         buffer[task.key] = StreamResult(task.key, record, True, False)
         for key, source_id in task.followers:
-            buffer[key] = StreamResult(
-                key, AnalysisEngine._cached_copy(record, source_id), False, True
-            )
+            buffer[key] = StreamResult(key, _twin(record, source_id), False, True)
+        task.followers.clear()
+        if record.quarantine is None and not deadline_limited(record):
+            task.record = record
+        else:
+            primaries.pop(task.digest, None)
 
     def _settle_failure(
         self,
@@ -881,36 +885,35 @@ class StreamingPool:
         self._settle_success(task, record, buffer, primaries)
         return None
 
-    def _flush_telemetry(self, engine) -> None:
+    async def _flush_telemetry(self, engine) -> None:
         """Collect what the workers recorded since their last flush."""
-        futures = []
+        pending: dict[asyncio.Future, _Slot] = {}
         for slot in self._slots:
             if slot.unflushed <= 0:
                 continue
             try:
-                futures.append((slot, slot.executor.submit(_stream_flush)))
+                future = slot.executor.submit(_stream_flush)
             except (BrokenProcessPool, RuntimeError):
                 continue  # the worker (and its unsent telemetry) is gone
-        for slot, future in futures:
-            try:
-                telemetry = future.result(timeout=60)
-            except Exception:
+            pending[asyncio.wrap_future(future)] = slot
+        if not pending:
+            return
+        done, _ = await asyncio.wait(pending, timeout=60)
+        for future, slot in pending.items():
+            if future not in done or future.cancelled():
+                future.cancel()
+                continue
+            if future.exception() is not None:
                 continue
             slot.unflushed = 0
-            engine._merge_worker_telemetry(telemetry)
+            engine._merge_worker_telemetry(future.result())
 
 
-def _aiter_entries(entries) -> AsyncIterator[tuple]:
-    """An async iterator over ``entries``, whichever flavor it already is."""
-    if hasattr(entries, "__aiter__"):
-        return entries.__aiter__()
-    iterator = iter(entries)
+def _twin(record: DocumentRecord, source_id: str) -> DocumentRecord:
+    """A coalesced duplicate's copy of ``record``, as the cache serves it."""
+    from repro.engine.core import AnalysisEngine
 
-    async def adapt() -> AsyncIterator[tuple]:
-        for item in iterator:
-            yield item
-
-    return adapt()
+    return AnalysisEngine._cached_copy(record, source_id)
 
 
 # ----------------------------------------------------------------------
@@ -1065,21 +1068,7 @@ def _stream_task(
     """
     engine = _WORKER_STATE["engine"]
     _shm_reclaim()
-    if deadline_s is None:
-        record = engine._process(source_id, data, digest)
-    else:
-        saved = engine.budget
-        engine.budget = clip_budget(saved, deadline_s)
-        try:
-            record = engine._process(source_id, data, digest)
-        finally:
-            engine.budget = saved
-        if record.degraded:
-            record.diag(
-                "deadline",
-                "info",
-                f"analyzed under a {deadline_s:.3f}s request deadline",
-            )
+    record = engine._process(source_id, data, digest, deadline_s)
     telemetry = None
     every = _WORKER_STATE["telemetry_every"]
     if every:

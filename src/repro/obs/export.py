@@ -4,16 +4,15 @@
 sliding-window view) into Prometheus text format v0.0.4 — ``_total``
 counters, cumulative ``le``-labelled histogram buckets with ``+Inf``,
 ``_sum``/``_count``, and ``repro_window_*`` gauges for the live sliding
-aggregates.  :class:`MetricsServer` serves it over a daemon-threaded
-stdlib HTTP server (``ThreadingHTTPServer``) with two routes:
+aggregates; :func:`scrape` renders one snapshot of a live registry, the
+same way for every endpoint that serves it.  :class:`MetricsServer`
+serves it from a daemon thread through the asyncio HTTP/1.1 stack of
+:mod:`repro.serve.http` (keep-alive included) with two routes:
 
 ``/metrics``
     the exposition text, scrape-ready;
 ``/healthz``
-    a one-line JSON liveness probe;
-``/readyz``
-    readiness: 200 when the optional ``readiness`` callback says so (or
-    no callback is installed), 503 with the reasons otherwise.
+    a one-line JSON liveness probe.
 
 ``repro scan --metrics-port N`` attaches one to a batch run; the class is
 equally importable on its own for gateway embedders::
@@ -31,10 +30,11 @@ whole telemetry stack.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import Future
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
@@ -164,14 +164,33 @@ def _render_window(lines: list[str], view: WindowView) -> None:
         lines.extend(quantile_lines)
 
 
-class MetricsServer:
-    """Daemon-threaded `/metrics` + `/healthz` over one registry.
+def scrape(registry: MetricsRegistry, window: SlidingWindow | None = None) -> str:
+    """One scrape of a live registry (+ the window's current view).
 
-    Scrapes read the live registry from the handler thread; the registry
-    is only ever *appended to* by the analysis thread (instruments are
-    created once, then mutated in place), so a scrape mid-creation can at
-    worst hit a dict-resize — handled by one snapshot retry rather than a
-    lock on the hot path.
+    Scrapes read the registry while the analysis thread appends to it;
+    instruments are created once, then mutated in place, so a scrape
+    mid-creation can at worst hit a dict resize — handled by one snapshot
+    retry rather than a lock on the hot path.
+    """
+    for attempt in (1, 2):
+        try:
+            view = (
+                window.view(registry)
+                if window is not None and registry.enabled
+                else None
+            )
+            return render_prometheus(registry.to_dict(), view)
+        except RuntimeError:  # dict mutated during snapshot; retry once
+            if attempt == 2:
+                raise
+    raise AssertionError("unreachable")
+
+
+class MetricsServer:
+    """`/metrics` + `/healthz` over one registry, from a daemon thread.
+
+    The thread owns an event loop running :class:`repro.serve.http.HttpServer`
+    — the same HTTP/1.1 keep-alive stack ``repro serve`` answers on.
     """
 
     def __init__(
@@ -181,105 +200,84 @@ class MetricsServer:
         window: SlidingWindow | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        readiness=None,
     ) -> None:
         self.registry = registry
         self.window = window
         self.host = host
-        #: optional ``() -> (ready: bool, detail: dict)`` probe for /readyz
-        self.readiness = readiness
         self.requested_port = port
         self.port: int | None = None
-        self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
+        self._stop = None  # thread-safe "shut down" callable while serving
 
     # -- scrape payloads ----------------------------------------------
 
     def scrape(self) -> str:
-        for attempt in (1, 2):
-            try:
-                view = (
-                    self.window.view(self.registry)
-                    if self.window is not None and self.registry.enabled
-                    else None
-                )
-                return render_prometheus(self.registry.to_dict(), view)
-            except RuntimeError:  # dict mutated during snapshot; retry once
-                if attempt == 2:
-                    raise
-        raise AssertionError("unreachable")
+        return scrape(self.registry, self.window)
 
     def health(self) -> str:
         return json.dumps({"status": "ok", "telemetry": self.registry.enabled})
 
-    def ready(self) -> tuple[int, str]:
-        """The /readyz payload: (status code, JSON body)."""
-        if self.readiness is None:
-            return 200, json.dumps({"ready": True})
-        ready, detail = self.readiness()
-        payload = {"ready": bool(ready)}
-        payload.update(detail)
-        return (200 if ready else 503), json.dumps(payload)
+    async def _handle(self, request):
+        from repro.serve.http import HttpError, Response
+
+        if request.method == "GET" and request.path == "/metrics":
+            return Response(
+                body=self.scrape().encode("utf-8"), content_type=CONTENT_TYPE
+            )
+        if request.method == "GET" and request.path == "/healthz":
+            return Response(body=(self.health() + "\n").encode("utf-8"))
+        raise HttpError(404, "not_found", f"no route {request.method} {request.path}")
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> int:
-        """Bind and serve from a daemon thread; returns the bound port."""
-        if self._httpd is not None:
+        """Bind and serve from a daemon thread; returns the bound port.
+
+        A bind failure (``OSError``) is raised here, in the caller.
+        """
+        if self._thread is not None:
             assert self.port is not None
             return self.port
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                path = self.path.split("?", 1)[0]
-                if path == "/metrics":
-                    body = server.scrape().encode("utf-8")
-                    content_type = CONTENT_TYPE
-                    status = 200
-                elif path == "/healthz":
-                    body = (server.health() + "\n").encode("utf-8")
-                    content_type = "application/json"
-                    status = 200
-                elif path == "/readyz":
-                    status, payload = server.ready()
-                    body = (payload + "\n").encode("utf-8")
-                    content_type = "application/json"
-                else:
-                    body = b"not found\n"
-                    content_type = "text/plain"
-                    status = 404
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, format: str, *args: Any) -> None:
-                pass  # scrapes are not worth a stderr line each
-
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self.requested_port), Handler
-        )
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
+        ready: Future = Future()
+        thread = threading.Thread(
+            target=asyncio.run,
+            args=(self._serve(ready),),
             name="repro-metrics-server",
             daemon=True,
         )
-        self._thread.start()
+        thread.start()
+        try:
+            self.port, self._stop = ready.result()
+        except BaseException:
+            thread.join()
+            raise
+        self._thread = thread
         return self.port
 
-    def stop(self) -> None:
-        if self._httpd is None:
+    async def _serve(self, ready: Future) -> None:
+        # Imported here, not at the top: repro.serve imports this module.
+        from repro.serve.http import HttpServer
+
+        http = HttpServer(self._handle, host=self.host, port=self.requested_port)
+        try:
+            port = await http.start()
+        except BaseException as error:
+            ready.set_exception(error)
             return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        ready.set_result((port, lambda: loop.call_soon_threadsafe(stopping.set)))
+        try:
+            await stopping.wait()
+        finally:
+            await http.stop()
+
+    def stop(self) -> None:
+        if self._thread is None:
+            return
+        self._stop()
+        self._thread.join(timeout=5.0)
+        self._thread = self._stop = None
 
     def __enter__(self) -> "MetricsServer":
         self.start()

@@ -20,11 +20,14 @@ arithmetic:
 * the ring holds ``buckets + 1`` snapshots — O(1) memory on unbounded
   feeds, same spirit as the streaming pool's admission window.
 
-``engine.stream()`` / ``run_batch(jobs=N)`` tick an attached window from
-the dispatch loop and from every worker-telemetry merge (the per-16-task
+The engine ticks an attached window from the pool's one dispatch loop
+(``StreamingPool.astream``, which ``engine.stream()``, ``run_batch(jobs=N)``,
+``engine.astream()`` and ``repro serve`` all run on), from the serial
+document path, and from every worker-telemetry merge (the per-16-task
 snapshot protocol), so window views trail live traffic by at most one
-flush interval.  The `/metrics` exporter and the SLO burn-rate evaluator
-both read :meth:`SlidingWindow.view`.
+flush interval.  Every `/metrics` endpoint (through
+:func:`repro.obs.export.scrape`) and the SLO burn-rate evaluator read
+:meth:`SlidingWindow.view`.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.engine.records import sha256_hex
 from repro.obs.events import serve_event
-from repro.obs.export import CONTENT_TYPE, render_prometheus
+from repro.obs.export import CONTENT_TYPE, scrape
 from repro.obs.metrics import NULL_REGISTRY
 from repro.resilience.archive import (
     ArchiveBombError,
@@ -235,20 +235,6 @@ class ServeApp:
         )
         return ready, detail
 
-    def _metrics_text(self) -> str:
-        for attempt in (1, 2):
-            try:
-                view = (
-                    self.obs_window.view(self.metrics)
-                    if self.obs_window is not None and self.metrics.enabled
-                    else None
-                )
-                return render_prometheus(self.metrics.to_dict(), view)
-            except RuntimeError:  # dict resized mid-snapshot; retry once
-                if attempt == 2:
-                    raise
-        raise AssertionError("unreachable")
-
     def _trace(self, name: str, event: str, detail: str = "") -> None:
         metrics = self.metrics
         if metrics.enabled and getattr(metrics, "trace", False):
@@ -279,7 +265,7 @@ class ServeApp:
                 return json_response(payload, 200 if ready else 503)
             if path == "/metrics":
                 return Response(
-                    body=self._metrics_text().encode("utf-8"),
+                    body=scrape(self.metrics, self.obs_window).encode("utf-8"),
                     content_type=CONTENT_TYPE,
                 )
         endpoint = path.lstrip("/")

@@ -186,14 +186,9 @@ class AnalysisGateway:
             if job.future.done():  # request already failed (drain teardown)
                 self._pending.pop(job.seq, None)
                 continue
-            digest = sha256_hex(job.data)
-            cached = engine._cache_get(digest)
-            if cached is not None:
-                yield ("ready", job.seq, engine._cached_copy(cached, job.source_id))
-            elif job.deadline is not None:
-                yield ("task", job.seq, job.source_id, job.data, digest, job.deadline)
-            else:
-                yield ("task", job.seq, job.source_id, job.data, digest)
+            yield engine._stream_entry(
+                job.seq, (job.source_id, job.data), job.deadline
+            )
 
     async def _dispatch(self) -> None:
         pool = self._pool

@@ -14,6 +14,8 @@ What must hold (and is exercised here against real worker processes):
   timings) to the serial path, in the same order.
 """
 
+import asyncio
+import itertools
 import time
 
 import pytest
@@ -154,6 +156,19 @@ class TestWarmPool:
         assert pool.worker_pids() == pids  # same processes, still warm
         engine.close()
         assert engine._pool is None
+
+    def test_close_waits_for_the_executors_to_shut_down(self, document_factory):
+        # An interpreter exit right after close() must not race executors
+        # still shutting down: the stdlib exit hook writes to their wakeup
+        # pipes unlocked (an intermittent EBADF traceback at exit).
+        engine = AnalysisEngine.for_extraction()
+        engine.run_batch(document_factory(4), jobs=2)
+        managers = [
+            slot.executor._executor_manager_thread for slot in engine._pool._slots
+        ]
+        assert all(manager.is_alive() for manager in managers)
+        engine.close()
+        assert not any(manager.is_alive() for manager in managers)
 
     def test_worker_kill_mid_stream_keeps_survivors_warm(
         self, document_factory, recorded_sleeps
@@ -348,3 +363,70 @@ class TestFeatureCacheTelemetry:
             assert serial_info[key] == parallel_info[key], key
         assert serial_info["feature_misses"] == len(pairs)
         parallel_engine.close()
+
+
+class TestOrderedCoalescing:
+    def test_duplicate_of_settled_unyielded_primary_is_not_reanalyzed(
+        self, document_factory
+    ):
+        """A duplicate admitted after its primary settled, while that
+        primary still waits in the reorder buffer behind a slower
+        head-of-line result, is served from the primary: one analysis per
+        content, as under ``run_batch``."""
+        (_, short), (_, long), (_, twin) = document_factory(3)
+        feed = [
+            ("stall_short", short),
+            ("stall_long", long),
+            ("twin_1", twin),
+            ("twin_2", twin),
+        ]
+        engine = AnalysisEngine.for_extraction()
+        engine.stages.append(StallStage("short", 0.5))
+        engine.stages.append(StallStage("long", 2.0))
+        records = list(engine.stream(feed, jobs=3, window=3, ordered=True))
+        assert [r.source_id for r in records] == [sid for sid, _ in feed]
+        assert engine._pool.tasks_completed == 3
+        notes = [d.message for d in records[3].diagnostics]
+        assert "served from content-hash cache" in notes
+        engine.close()
+
+
+class TestSyncFaceLifecycle:
+    def test_early_break_merges_telemetry_and_keeps_pool_warm(self):
+        docs = tiny_docs(50)
+        registry = MetricsRegistry()
+        engine = AnalysisEngine.for_extraction(metrics=registry)
+        results = engine.stream(docs, jobs=2, ordered=True)
+        taken = list(itertools.islice(results, 3))
+        results.close()
+        assert [r.source_id for r in taken] == [sid for sid, _ in docs[:3]]
+        pool = engine._pool
+        assert not pool._streaming
+        # Fewer tasks than a worker's flush interval: the worker spans
+        # arrive only through the end-of-stream flush run at close.
+        snapshot = registry.to_dict()
+        assert snapshot["counters"]["stream.tasks"] >= 3
+        assert snapshot["histograms"]["span.document"]["count"] >= 3
+        pids = pool.worker_pids()
+        assert all(pid is not None for pid in pids)
+
+        records = engine.run_batch(docs[3:10], jobs=2)
+        assert [r.source_id for r in records] == [sid for sid, _ in docs[3:10]]
+        assert engine._pool is pool
+        assert pool.worker_pids() == pids
+        engine.close()
+
+    def test_sync_face_inside_a_running_loop_points_at_astream(
+        self, document_factory
+    ):
+        pairs = document_factory(4)
+        engine = AnalysisEngine.for_extraction()
+
+        async def scenario():
+            return engine.run_batch(pairs, jobs=2)
+
+        with pytest.raises(RuntimeError, match="astream"):
+            asyncio.run(asyncio.wait_for(scenario(), 60))
+        # Nothing was left half-streaming: the sync face still works.
+        assert len(engine.run_batch(pairs, jobs=2)) == len(pairs)
+        engine.close()

@@ -1,5 +1,6 @@
 """Prometheus exposition format and the stdlib /metrics endpoint."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -128,6 +129,26 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/nope", timeout=5)
             assert excinfo.value.code == 404
+
+    def test_two_scrapes_share_one_keepalive_connection(self):
+        with MetricsServer(_populated_registry(), port=0) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+            try:
+                conn.request("GET", "/metrics")
+                first = conn.getresponse()
+                assert first.status == 200
+                assert first.getheader("Connection") == "keep-alive"
+                first.read()
+                sock = conn.sock
+                assert sock is not None  # the server kept it open
+                conn.request("GET", "/metrics")
+                second = conn.getresponse()
+                body = second.read().decode("utf-8")
+                assert second.status == 200
+                assert conn.sock is sock  # no reconnect between scrapes
+                assert "repro_cache_hits_total 7" in body
+            finally:
+                conn.close()
 
     def test_scrapes_track_live_mutation(self):
         registry = _populated_registry()
