@@ -103,7 +103,7 @@ class BrokenCodeShadow(Rule):
         if not exit_lines:
             return
         try:
-            parse_module(ctx.analysis.source)
+            parse_module(ctx.analysis.source, tokens=ctx.analysis.tokens)
             return  # everything parses: nothing broken after the exit
         except VBAParseError as error:
             for exit_line in exit_lines:

@@ -1,14 +1,13 @@
 """VBA language substrate: lexer, structural analyzer, built-in catalogs."""
 
 from repro.vba.analyzer import CallSite, MacroAnalysis, analyze
-from repro.vba.lexer import Lexer, significant_tokens, tokenize
+from repro.vba.lexer import significant_tokens, tokenize
 from repro.vba.tokens import Token, TokenKind, VBA_KEYWORDS
 from repro.vba.writer import CodeWriter, chunk_string, quote_vba_string
 
 __all__ = [
     "CallSite",
     "CodeWriter",
-    "Lexer",
     "MacroAnalysis",
     "Token",
     "TokenKind",

@@ -26,7 +26,9 @@ it is extracted alone or in a batch of thousands.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,10 +73,6 @@ CATALOG_ORDER: tuple[frozenset[str], ...] = (
     FINANCIAL_FUNCTIONS,
     RICH_FUNCTIONS,
 )
-
-_KIND_INDEX: dict[TokenKind, int] = {
-    kind: index for index, kind in enumerate(TokenKind)
-}
 
 #: char-class histogram shape: one bin per ASCII codepoint plus a single
 #: overflow bin for everything non-ASCII.
@@ -238,22 +236,24 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     )
     backslash_chars = int(char_histogram[92])
 
-    token_kind_counts = np.zeros(len(_KIND_INDEX), dtype=np.int64)
-    comment_chars = 0
+    tokens = analysis.tokens
+    kinds = [token.kind for token in tokens]
+    token_kind_counts = np.array(
+        [kinds.count(kind) for kind in TokenKind], dtype=np.int64
+    )
     comment_parts: list[str] = []
     string_token_chars = 0
     string_op_count = 0
-    for token in analysis.tokens:
-        token_kind_counts[_KIND_INDEX[token.kind]] += 1
+    for token in tokens:
         kind = token.kind
         if kind is TokenKind.COMMENT:
-            comment_chars += len(token.text)
             comment_parts.append(token.text)
         elif kind is TokenKind.STRING:
             string_token_chars += len(token.text)
         elif kind is TokenKind.OPERATOR and token.text in STRING_CONCAT_OPERATORS:
             string_op_count += 1
     comment_text = "".join(comment_parts)
+    comment_chars = len(comment_text)
 
     lines = source.splitlines()
     line_lengths = np.fromiter(
@@ -267,11 +267,16 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     word_lengths = np.fromiter(
         (len(word) for word in words), dtype=np.int64, count=len(words)
     )
+    # Both word tests are pure functions of the word, so each distinct
+    # word is tested once and weighted by its count.
+    word_counts = Counter(words)
     readable_word_count = sum(
-        1 for word in words if _is_human_readable(word)
+        count for word, count in word_counts.items() if _is_human_readable(word)
     )
     words_in_comment_count = (
-        sum(1 for word in words if word in comment_text) if comment_text else 0
+        sum(count for word, count in word_counts.items() if word in comment_text)
+        if comment_text
+        else 0
     )
 
     string_lengths = np.fromiter(
@@ -295,7 +300,7 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
             if lowered in catalog:
                 catalog_hits[column] += 1
 
-    argument_lengths = _argument_lengths(analysis.tokens)
+    argument_lengths = _argument_lengths(tokens)
 
     body_count = 0
     body_total_chars = 0
@@ -315,7 +320,7 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
         long_line_count=long_line_count,
         line_lengths=line_lengths,
         token_kind_counts=token_kind_counts,
-        comment_count=int(token_kind_counts[_KIND_INDEX[TokenKind.COMMENT]]),
+        comment_count=len(comment_parts),
         word_count=len(words),
         word_len_sum=int(word_lengths.sum()),
         word_len_sqsum=int((word_lengths * word_lengths).sum()),
@@ -381,34 +386,35 @@ def _is_human_readable(word: str) -> bool:
 
 
 def _argument_lengths(all_tokens: list[Token]) -> list[int]:
-    """Character lengths of parenthesized call arguments (J9)."""
-    lengths: list[int] = []
+    """Character lengths of parenthesized call arguments (J9).
+
+    An argument list is everything between a ``(`` that follows an
+    identifier and its matching ``)`` — or the end of the module when the
+    parenthesis is never closed.  One pass matches parentheses with a
+    stack and builds prefix sums of token-text lengths, so each call site
+    costs one subtraction however long or unbalanced the module is.
+    """
     tokens = [
         t
         for t in all_tokens
         if t.kind
         not in (TokenKind.WHITESPACE, TokenKind.NEWLINE, TokenKind.EOF)
     ]
-    for index, token in enumerate(tokens[:-1]):
-        if token.kind is not TokenKind.IDENTIFIER:
+    offsets = [0, *accumulate(len(token.text) for token in tokens)]
+    closing: dict[int, int] = {}
+    unclosed: list[int] = []
+    call_opens: list[int] = []
+    for index, token in enumerate(tokens):
+        if token.kind is not TokenKind.PUNCT:
             continue
-        nxt = tokens[index + 1]
-        if nxt.kind is not TokenKind.PUNCT or nxt.text != "(":
-            continue
-        depth = 0
-        size = 0
-        for inner in tokens[index + 1 :]:
-            if inner.kind is TokenKind.PUNCT and inner.text == "(":
-                depth += 1
-                if depth == 1:
-                    continue
-            if inner.kind is TokenKind.PUNCT and inner.text == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            size += len(inner.text)
-        lengths.append(size)
-    return lengths
+        if token.text == "(":
+            unclosed.append(index)
+            if index and tokens[index - 1].kind is TokenKind.IDENTIFIER:
+                call_opens.append(index)
+        elif token.text == ")" and unclosed:
+            closing[unclosed.pop()] = index
+    end = len(tokens)
+    return [offsets[closing.get(open_, end)] - offsets[open_ + 1] for open_ in call_opens]
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """A tokenizer for Visual Basic for Applications source code.
 
-The lexer is a single-pass scanner producing :class:`~repro.vba.tokens.Token`
-objects.  It handles the VBA constructs that matter for static analysis of
-macro code:
+:func:`tokenize` turns a module's source into
+:class:`~repro.vba.tokens.Token` objects.  It handles the VBA constructs
+that matter for static analysis of macro code:
 
 * ``'`` comments and ``Rem`` statement comments, running to end of line;
 * double-quoted string literals with ``""`` escapes;
 * numeric literals including ``&H`` hex, ``&O`` octal, exponents and type
-  suffixes (``%``, ``&``, ``!``, ``#``, ``@``);
+  suffixes (``%``, ``&``, ``!``, ``#``, ``@``, ``^``);
 * ``#...#`` date literals;
 * the ``_`` line continuation (space + underscore + end of line);
 * multi-character operators (``<=``, ``>=``, ``<>``, ``:=``).
+
+The scanner is one compiled master regex — a named-group alternation
+whose group order is the lexical precedence — driven by ``finditer``;
+only words need a Python decision (``Rem``, keyword or identifier).
 
 The scanner is loss-less: concatenating ``token.text`` for all tokens
 (including whitespace/newline tokens) reconstructs the input exactly.  Feature
@@ -19,241 +23,110 @@ extraction relies on this property to compute exact character counts.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import re
 
-from repro.vba.tokens import (
-    MULTI_CHAR_OPERATORS,
-    PUNCTUATION,
-    SINGLE_CHAR_OPERATORS,
-    VBA_KEYWORDS,
-    Token,
-    TokenKind,
+from repro.vba.tokens import VBA_KEYWORDS, Token, TokenKind
+
+# One alternation, tried left to right at each position; the group order is
+# the scanner's precedence.  Character classes are spelled out in ASCII
+# (no ``\d``/``\w``, no IGNORECASE): Unicode digits such as ``٣`` and
+# letters that case-fold to ASCII (Kelvin ``K``, long ``ſ``) are UNKNOWN.
+_MASTER = re.compile(
+    r"""
+    (?P<NEWLINE>\r\n?|\n)
+    # space + ``_`` + optional trailing blanks, then end of line or input
+  | (?P<LINE_CONTINUATION>[ \t]+_[ \t]*(?:\r\n?|\n|\Z))
+  | (?P<WHITESPACE>[ \t]+)
+  | (?P<COMMENT>'[^\r\n]*)
+    # ``""`` escapes a quote; an unterminated string stops at end of line
+  | (?P<STRING>"[^"\r\n]*(?:""[^"\r\n]*)*"?)
+  | (?P<NUMBER>
+        (?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[%&!\#@^]?
+      | &[hH][0-9a-fA-F]*[&%]?
+      | &[oO][0-7]*[&%]?
+    )
+  | (?P<DATE>\#[0-9/:\- APMapm,]{1,23}\#)
+  | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)(?P<SUFFIX>[%&!\#@$])?
+  | (?P<OPERATOR><=|>=|<>|:=|[-+*/\\^&=<>])
+  | (?P<PUNCT>[().,;:!\#@$%?\[\]{}])
+  | (?P<UNKNOWN>.)
+    """,
+    re.VERBOSE | re.DOTALL,
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_REST_OF_LINE = re.compile(r"[^\r\n]*")
+
+_KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
+
+# ``Token`` is a frozen slots dataclass, whose generated ``__init__`` makes
+# one ``object.__setattr__`` call per field.  The lexer builds every token
+# of every module, so it fills the slots through their descriptors, which
+# halves the cost of a token; the result is an ordinary, equal ``Token``.
+_new_object = object.__new__
+_set_kind, _set_text, _set_line, _set_column = (
+    Token.__dict__[name].__set__ for name in ("kind", "text", "line", "column")
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_OCT_DIGITS = frozenset("01234567")
-_TYPE_SUFFIXES = frozenset("%&!#@^")
 
 
-class Lexer:
-    """Streaming tokenizer over a VBA source string."""
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, terminating with an EOF token."""
-        while self._pos < len(self._source):
-            yield self._next_token()
-        yield Token(TokenKind.EOF, "", self._line, self._column)
-
-    # ------------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _make(self, kind: TokenKind, start: int, line: int, column: int) -> Token:
-        return Token(kind, self._source[start : self._pos], line, column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            char = self._source[self._pos]
-            self._pos += 1
-            if char == "\n" or (
-                char == "\r" and self._peek() != "\n"
-            ):  # LF, or a lone CR (classic-Mac line ending)
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-
-    def _next_token(self) -> Token:
-        start, line, column = self._pos, self._line, self._column
-        char = self._peek()
-
-        if char in ("\r", "\n"):
-            self._advance()
-            if char == "\r" and self._peek() == "\n":
-                self._advance()
-            return self._make(TokenKind.NEWLINE, start, line, column)
-
-        if char in (" ", "\t"):
-            while self._peek() in (" ", "\t"):
-                self._advance()
-            # A trailing ``_`` after whitespace, followed by end of line, is a
-            # line continuation that splices the next physical line.  Editors
-            # routinely leave spaces or tabs after the underscore, so any run
-            # of trailing whitespace between ``_`` and the line break is part
-            # of the continuation.
-            if self._peek() == "_":
-                offset = 1
-                while self._peek(offset) in (" ", "\t"):
-                    offset += 1
-                if self._peek(offset) in ("\r", "\n", ""):
-                    self._advance()  # the underscore
-                    while self._peek() in (" ", "\t"):
-                        self._advance()
-                    if self._peek() == "\r":
-                        self._advance()
-                    if self._peek() == "\n":
-                        self._advance()
-                    return self._make(
-                        TokenKind.LINE_CONTINUATION, start, line, column
-                    )
-            return self._make(TokenKind.WHITESPACE, start, line, column)
-
-        if char == "'":
-            return self._scan_line_comment(start, line, column)
-
-        if char == '"':
-            return self._scan_string(start, line, column)
-
-        if char in _DIGITS:
-            return self._scan_number(start, line, column)
-
-        if char == "&" and self._peek(1).lower() in ("h", "o"):
-            return self._scan_radix_number(start, line, column)
-
-        if char == "." and self._peek(1) in _DIGITS:
-            return self._scan_number(start, line, column)
-
-        if char == "#" and self._looks_like_date():
-            return self._scan_date(start, line, column)
-
-        if char in _IDENT_START:
-            return self._scan_word(start, line, column)
-
-        for op in MULTI_CHAR_OPERATORS:
-            if self._source.startswith(op, self._pos):
-                self._advance(len(op))
-                return self._make(TokenKind.OPERATOR, start, line, column)
-
-        if char in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return self._make(TokenKind.OPERATOR, start, line, column)
-
-        if char in PUNCTUATION:
-            self._advance()
-            return self._make(TokenKind.PUNCT, start, line, column)
-
-        self._advance()
-        return self._make(TokenKind.UNKNOWN, start, line, column)
-
-    # ------------------------------------------------------------------
-
-    def _scan_line_comment(self, start: int, line: int, column: int) -> Token:
-        while self._peek() not in ("\r", "\n", ""):
-            self._advance()
-        return self._make(TokenKind.COMMENT, start, line, column)
-
-    def _scan_string(self, start: int, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        while True:
-            char = self._peek()
-            if char == "":
-                break  # unterminated string: tolerate, common in broken code
-            if char in ("\r", "\n"):
-                break  # VBA strings cannot span lines
-            if char == '"':
-                if self._peek(1) == '"':
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            self._advance()
-        return self._make(TokenKind.STRING, start, line, column)
-
-    def _scan_number(self, start: int, line: int, column: int) -> Token:
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek().lower() == "e" and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in _TYPE_SUFFIXES:
-            self._advance()
-        return self._make(TokenKind.NUMBER, start, line, column)
-
-    def _scan_radix_number(self, start: int, line: int, column: int) -> Token:
-        radix = self._peek(1).lower()
-        digits = _HEX_DIGITS if radix == "h" else _OCT_DIGITS
-        self._advance(2)
-        while self._peek() in digits:
-            self._advance()
-        if self._peek() in ("&", "%"):
-            self._advance()
-        return self._make(TokenKind.NUMBER, start, line, column)
-
-    def _looks_like_date(self) -> bool:
-        """Heuristically decide whether ``#`` opens a date literal.
-
-        A date literal looks like ``#1/2/2016#`` or ``#12:30 PM#`` — a short
-        run of date-ish characters terminated by ``#`` on the same line.
-        """
-        index = self._pos + 1
-        length = 0
-        while index < len(self._source) and length < 24:
-            char = self._source[index]
-            if char == "#":
-                return length > 0
-            if char in ("\r", "\n"):
-                return False
-            if char not in "0123456789/:- APMapm,":
-                return False
-            index += 1
-            length += 1
-        return False
-
-    def _scan_date(self, start: int, line: int, column: int) -> Token:
-        self._advance()  # opening '#'
-        while self._peek() not in ("#", "\r", "\n", ""):
-            self._advance()
-        if self._peek() == "#":
-            self._advance()
-        return self._make(TokenKind.DATE, start, line, column)
-
-    def _scan_word(self, start: int, line: int, column: int) -> Token:
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        word = self._source[start : self._pos].lower()
-        if word == "rem":
-            # ``Rem`` introduces a comment running to end of line.
-            while self._peek() not in ("\r", "\n", ""):
-                self._advance()
-            return self._make(TokenKind.COMMENT, start, line, column)
-        if word in VBA_KEYWORDS:
-            return self._make(TokenKind.KEYWORD, start, line, column)
-        # An identifier may carry a type suffix (``count%``, ``name$``).
-        if self._peek() in "%&!#@$":
-            self._advance()
-        return self._make(TokenKind.IDENTIFIER, start, line, column)
+def _token(kind: TokenKind, text: str, line: int, column: int) -> Token:
+    token = _new_object(Token)
+    _set_kind(token, kind)
+    _set_text(token, text)
+    _set_line(token, line)
+    _set_column(token, column)
+    return token
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize VBA source, returning all tokens including the final EOF."""
-    return list(Lexer(source).tokens())
+    """Tokenize VBA source, returning all tokens including the final EOF.
+
+    Line and column advance only past a NEWLINE token, or a
+    LINE_CONTINUATION that ends in CR or LF (one at end of input does not);
+    no other token can contain a line break.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    kinds = _KIND_OF_GROUP
+    newline = TokenKind.NEWLINE
+    continuation = TokenKind.LINE_CONTINUATION
+    keywords = VBA_KEYWORDS
+    line = 1
+    line_start = 0
+    position = 0
+    while True:
+        # ``finditer`` restarts only after ``Rem`` or a suffixed keyword.
+        for match in _MASTER.finditer(source, position):
+            start, end = match.span()
+            column = start - line_start + 1
+            group = match.lastgroup
+            if group == "WORD" or group == "SUFFIX":
+                # ``Rem`` opens a comment to end of line; a keyword takes no
+                # type suffix; an identifier keeps one (``name$``).
+                word_end = match.end("WORD")
+                word = source[start:word_end].lower()
+                if word == "rem":
+                    end = _REST_OF_LINE.match(source, word_end).end()
+                    append(_token(TokenKind.COMMENT, source[start:end], line, column))
+                    break
+                if word in keywords:
+                    append(_token(TokenKind.KEYWORD, source[start:word_end], line, column))
+                    if word_end != end:
+                        end = word_end  # scan the suffix character afresh
+                        break
+                else:
+                    append(_token(TokenKind.IDENTIFIER, source[start:end], line, column))
+                continue
+            kind = kinds[group]
+            text = source[start:end]
+            append(_token(kind, text, line, column))
+            if kind is newline or (kind is continuation and text[-1] in "\r\n"):
+                line += 1
+                line_start = end
+        else:
+            break
+        position = end
+    append(_token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens
 
 
 def significant_tokens(source: str) -> list[Token]:

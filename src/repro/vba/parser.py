@@ -75,6 +75,7 @@ class _Parser:
             )
         ]
         self._pos = 0
+        self._last = len(self._tokens) - 1
         #: statements already parsed but not yet delivered — a single source
         #: statement can expand to several AST statements (``Const A = 1, B = 2``)
         self._pending: list[ast.Statement] = []
@@ -82,13 +83,14 @@ class _Parser:
     # ------------------------------------------------------------------
     # Token cursor helpers
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        # ``_advance`` stops on the last token (EOF), so ``_pos`` is always
+        # a valid index.
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
-        if self._pos < len(self._tokens) - 1:
+        if self._pos < self._last:
             self._pos += 1
         return token
 

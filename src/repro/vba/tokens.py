@@ -102,14 +102,6 @@ VBA_KEYWORDS: frozenset[str] = frozenset(
     }
 )
 
-# Multi-character operators must be matched before their single-character
-# prefixes; kept longest-first.
-MULTI_CHAR_OPERATORS: tuple[str, ...] = ("<=", ">=", "<>", ":=")
-
-SINGLE_CHAR_OPERATORS: frozenset[str] = frozenset("+-*/\\^&=<>")
-
-PUNCTUATION: frozenset[str] = frozenset("().,;:!#@$%?[]{}")
-
 # Operators that concatenate strings in VBA.  ``&`` is the canonical
 # concatenation operator; ``+`` concatenates when both operands are strings.
 # The paper's feature V5 counts occurrences of string operators including

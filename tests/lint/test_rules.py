@@ -1,8 +1,12 @@
 """Per-rule behavior tests: each rule fires on its target shape and stays
 quiet on the idiomatic benign equivalent."""
 
-from repro.lint import lint_source
+import repro.lint.rules.antianalysis as antianalysis
+from repro.lint import lint_analysis, lint_source
 from repro.lint.rules.o1_random import looks_machine_generated
+from repro.vba.analyzer import analyze
+from repro.vba.parser import parse_module
+from tests.vba.test_frontend_golden import corpus_sources
 
 
 def hits(source: str, rule_id: str):
@@ -192,3 +196,29 @@ class TestAntiAnalysisRules:
         )
         found = hits(source, "aa-broken-code")
         assert found and "shadowed by Exit at line 3" in found[0].message
+
+    def test_broken_code_parses_the_analyzer_tokens(self, monkeypatch):
+        source = (
+            "Sub A()\n    x = 1\n    Exit Sub\n    Next nothing\nEnd Sub\n"
+        )
+        analysis = analyze(source)
+
+        def no_relex(_source):
+            raise AssertionError("the module was tokenized a second time")
+
+        monkeypatch.setattr("repro.vba.parser.tokenize", no_relex)
+        monkeypatch.setattr("repro.vba.analyzer.tokenize", no_relex)
+        found = lint_analysis(analysis, ["aa-broken-code"])
+        assert found and "shadowed by Exit at line 3" in found[0].message
+
+    def test_broken_code_findings_match_a_fresh_parse(self, monkeypatch):
+        sources = [s for s in corpus_sources() if "Exit " in s]
+        shared = [lint_analysis(analyze(s), ["aa-broken-code"]) for s in sources]
+        monkeypatch.setattr(
+            antianalysis,
+            "parse_module",
+            lambda source, tokens=None: parse_module(source),
+        )
+        relexed = [lint_analysis(analyze(s), ["aa-broken-code"]) for s in sources]
+        assert shared == relexed
+        assert any(shared)

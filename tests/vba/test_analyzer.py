@@ -1,6 +1,12 @@
 """Tests for the structural analyzer."""
 
+import time
+
+import pytest
+
 from repro.vba.analyzer import analyze
+from tests.features.test_batch_parity import _argument_lengths as nested_walk_lengths
+from tests.vba.test_frontend_golden import corpus_sources
 
 CALC_MACRO = (
     "Sub StartCalculator()\n"
@@ -125,3 +131,46 @@ class TestTextMeasures:
     def test_operator_count(self):
         analysis = analyze('s = "a" & "b" + "c"\n')
         assert analysis.operator_count(frozenset({"&", "+"})) == 2
+
+
+class TestArgumentLengths:
+    """J9's argument lengths: one stack pass against the nested walk."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "x = f(a, g(b), (c))",
+            "x = f(a)) + g(b",
+            ") f( ( ) h(",
+            "Call f(\n a, _\n b) ' c (",
+            "x = f(",
+            "f",
+        ],
+    )
+    def test_matches_the_nested_walk_on_edge_cases(self, source):
+        analysis = analyze(source)
+        lengths = nested_walk_lengths(analysis)
+        summary = analysis.ensure_summary()
+        assert summary.argument_count == len(lengths)
+        assert summary.argument_len_sum == sum(lengths)
+
+    def test_matches_the_nested_walk_on_the_corpus(self):
+        for source in corpus_sources():
+            analysis = analyze(source)
+            lengths = nested_walk_lengths(analysis)
+            summary = analysis.ensure_summary()
+            assert (summary.argument_count, summary.argument_len_sum) == (
+                len(lengths),
+                sum(lengths),
+            )
+
+    def test_unbalanced_parentheses_stay_linear(self):
+        # Every ``f(`` is unclosed, so each argument list runs to the end
+        # of the module; the nested walk needed ~20 s for this 16 KB input.
+        calls = 8000
+        analysis = analyze("Sub A()\nx = " + "f(" * calls)
+        started = time.perf_counter()
+        summary = analysis.ensure_summary()
+        assert time.perf_counter() - started < 5.0
+        assert summary.argument_count == calls + 1  # ``A()`` counts too
+        assert summary.argument_len_sum == calls * (calls - 1)
