@@ -110,15 +110,22 @@ class TestDecisionTree:
     def test_min_samples_leaf(self):
         X, y = make_blobs(n_per_class=50)
         tree = DecisionTreeClassifier(min_samples_leaf=10, random_state=0).fit(X, y)
+        leaves = tree.tree_.feature < 0
+        assert leaves.sum() == tree.n_leaves_ > 1
+        assert np.all(tree.tree_.counts[leaves].sum(axis=1) >= 10)
 
-        def check(node):
-            if node.is_leaf:
-                assert node.counts.sum() >= 10
-            else:
-                check(node.left)
-                check(node.right)
-
-        check(tree._root)
+    def test_deep_tree_grows_without_recursion(self):
+        # Every third row positive: each split cuts the lone positive or
+        # the next two negatives off the left end, so the tree is a chain
+        # 1999 levels deep, far past the interpreter's recursion limit.
+        X = np.arange(3000.0)[:, None]
+        y = np.zeros(3000, dtype=int)
+        y[::3] = 1
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.depth_ == 1999
+        assert tree.n_leaves_ == 2000
+        assert tree.score(X, y) == 1.0
+        assert tree.feature_importances_.tolist() == [1.0]
 
     def test_xor_needs_depth_two(self):
         X, y = make_xor(n=400)
@@ -163,6 +170,13 @@ class TestRandomForest:
     def test_invalid_estimator_count(self):
         with pytest.raises(ValueError):
             RandomForestClassifier(n_estimators=0)
+
+    def test_wrong_feature_count_rejected(self):
+        X, y = make_blobs(n_per_class=20)
+        forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+        for bad in (X[:, :2], np.hstack([X, X])):
+            with pytest.raises(ValueError, match="expected 4 features"):
+                forest.predict_proba(bad)
 
 
 class TestSVM:
