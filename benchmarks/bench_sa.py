@@ -16,6 +16,10 @@ Two claims, benchmarked end to end:
   recover column includes genuine Chr/xor/hex decoding work, not just
   benign no-ops.
 
+Each side is timed ``ROUNDS`` times, off and on alternating, and the gate
+is the ratio of the two medians: one ~0.4 s timing per side swings by
+±15% on a shared 2-CPU machine, enough to fail a 1.15x bound on noise.
+
 Results land in ``benchmarks/results/sa_overhead.json``; if a committed
 artifact is present the run additionally fails on a >20% throughput
 regression of the recover-on path against it.
@@ -46,6 +50,9 @@ MAX_OVERHEAD_RATIO = 1.15
 
 #: Allowed slowdown vs the committed artifact before the bench fails.
 REGRESSION_TOLERANCE = 0.8
+
+#: Timings per side; the gate compares medians.
+ROUNDS = 5
 
 def build_fleet_mix(rng: random.Random, groups: int):
     """Fleet traffic: per 32 docs, 1 novel, 3 variants, 28 re-submissions.
@@ -104,6 +111,13 @@ def _drive(batch, *, recover: bool):
     }
 
 
+def _median_run(runs):
+    """The run with the median elapsed time, plus every run's time."""
+    ordered = sorted(runs, key=lambda run: run[0])
+    elapsed, stats = ordered[len(ordered) // 2]
+    return elapsed, {**stats, "runs_s": [round(run[0], 3) for run in runs]}
+
+
 def _previous_artifact() -> dict | None:
     path = RESULTS_DIR / "sa_overhead.json"
     if not path.exists():
@@ -116,9 +130,13 @@ def test_recover_overhead_under_fleet_mix(benchmark):
     rng = random.Random(2018)
     batch = build_fleet_mix(rng, GROUPS)
 
-    # Interleave off/on runs so machine drift hits both sides equally.
-    off_s, off_stats = _drive(batch, recover=False)
-    on_s, on_stats = _drive(batch, recover=True)
+    # Alternate off/on runs so machine drift hits both sides equally.
+    runs = {False: [], True: []}
+    for _ in range(ROUNDS):
+        for recover in (False, True):
+            runs[recover].append(_drive(batch, recover=recover))
+    off_s, off_stats = _median_run(runs[False])
+    on_s, on_stats = _median_run(runs[True])
 
     ratio = on_s / off_s if off_s else float("inf")
     text = (
@@ -130,7 +148,8 @@ def test_recover_overhead_under_fleet_mix(benchmark):
         f"recover on         : {on_stats['elapsed_s']} s "
         f"({on_stats['docs_per_s']} docs/s, "
         f"{on_stats['strings_recovered']} strings recovered)\n"
-        f"overhead           : {ratio:.3f}x  (required < {MAX_OVERHEAD_RATIO}x)\n"
+        f"overhead           : {ratio:.3f}x  (required < {MAX_OVERHEAD_RATIO}x, "
+        f"medians of {ROUNDS} alternating runs)\n"
     )
     print("\n" + text)
 
@@ -145,6 +164,7 @@ def test_recover_overhead_under_fleet_mix(benchmark):
                 "recover_on": on_stats,
                 "overhead_ratio": round(ratio, 3),
                 "max_overhead_ratio": MAX_OVERHEAD_RATIO,
+                "rounds": ROUNDS,
             },
             indent=2,
             sort_keys=True,

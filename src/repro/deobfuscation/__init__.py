@@ -1,7 +1,6 @@
-"""Static de-obfuscation: constant folding + sandboxed decoder evaluation."""
+"""Static de-obfuscation: one budgeted SA pass, then a literal rewrite."""
 
 from repro.deobfuscation.engine import (
-    Deobfuscator,
     DeobfuscationReport,
     DeobfuscationResult,
     deobfuscate,
@@ -10,6 +9,5 @@ from repro.deobfuscation.engine import (
 __all__ = [
     "DeobfuscationReport",
     "DeobfuscationResult",
-    "Deobfuscator",
     "deobfuscate",
 ]

@@ -52,6 +52,8 @@ def is_concrete(value: object) -> bool:
 
 def join(left: object, right: object) -> object:
     """Lattice join of two abstract values."""
+    if left is right:
+        return left  # keeps a shared array the same object on both sides
     if left is TOP or right is TOP:
         return TOP
     if isinstance(left, list) and isinstance(right, list):
@@ -79,6 +81,11 @@ def join_envs(
     A name bound in only one environment may or may not have been
     assigned, so it widens to ⊤.
     """
+    if target.keys() == other.keys():
+        for key, value in other.items():
+            if target[key] is not value:
+                target[key] = join(target[key], value)
+        return target
     for key in set(target) | set(other):
         if key in target and key in other:
             target[key] = join(target[key], other[key])

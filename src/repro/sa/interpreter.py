@@ -14,11 +14,15 @@ and yields a :class:`~repro.sa.records.StringRecovery`.
 Design notes:
 
 * The value domain is the flat constant lattice.  ``If`` with a ⊤
-  condition executes *all* branches on environment copies and joins;
-  loops whose trip count is concrete and under budget run concretely,
-  anything else is havoced by chaotic iteration to the (height-2)
-  fixpoint.  Recovered strings are therefore a *superset* of what one
-  dynamic execution observes — the parity property the tests assert.
+  condition executes *all* branches, each from the same saved state, and
+  joins their exits; loops whose trip count is concrete and under budget
+  run concretely, anything else is havoced by chaotic iteration to the
+  (height-2) fixpoint.  The state a path can write is the environment,
+  the module variables and the elements of every array reachable from
+  them (arrays are shared by reference across frames), so all three are
+  saved, restored and joined per path.  Recovered strings are therefore
+  a *superset* of what one dynamic execution observes — the parity
+  property the tests assert.
 * Builtins are the dynamic interpreter's own ``_BUILTINS`` table called
   on concrete arguments (their coercions are static methods), wrapped so
   any :class:`~repro.vba.interpreter.VBARuntimeError` becomes ⊤ instead
@@ -31,6 +35,8 @@ Design notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.resilience.budgets import DEFAULT_SA_BUDGET, SABudget
@@ -61,6 +67,16 @@ class _ExitSignal(Exception):
 
 
 _MISSING = object()
+
+
+class _PathState(NamedTuple):
+    """What one path may write, saved: copies of the environment and the
+    module variables, and every reachable array (by id) with a copy of
+    its elements."""
+
+    env: dict[str, object]
+    globals: dict[str, object]
+    arrays: dict[int, tuple[list, list]]
 
 #: chaotic-iteration cap for loop havoc; the flat lattice converges in
 #: one widening per variable, this is a hard backstop
@@ -95,14 +111,17 @@ class AbstractInterpreter:
             for statement in self.module.module_statements:
                 self._execute(statement, self._globals)
             for procedure in self.module.procedures.values():
-                args: list[object] = [TOP] * len(procedure.params)
-                self._call_procedure(procedure, args)
+                self._enter(procedure)
         except _BudgetExhausted as exhausted:
             self._note_exhausted(exhausted.reason)
         except _ExitSignal:
             pass
         except RecursionError:
             self._note_exhausted("recursion")
+
+    def _enter(self, procedure: ast.Procedure) -> None:
+        """Fold one procedure as an entry point: every argument is ⊤."""
+        self._call_procedure(procedure, [TOP] * len(procedure.params))
 
     def result(self) -> StringRecovery:
         return StringRecovery(
@@ -247,23 +266,19 @@ class AbstractInterpreter:
                     self._execute(inner, env)
                 return
             remaining.append(statement.else_body)
-        # At least one condition was ⊤: fold every possibly-taken branch on
-        # a copy of the environment and join the outcomes.
-        joined: dict[str, object] | None = None
+        # At least one condition was ⊤: fold every possibly-taken branch
+        # from the same entry state and join the exits.
+        entry = self._save(env)
+        exits = []
         for body in remaining:
-            branch_env = dict(env)
+            self._restore(env, entry)
             try:
                 for inner in body:
-                    self._execute(inner, branch_env)
+                    self._execute(inner, env)
             except _ExitSignal:
                 pass  # the exit may not happen on other paths; keep folding
-            if joined is None:
-                joined = branch_env
-            else:
-                join_envs(joined, branch_env)
-        if joined is not None:
-            env.clear()
-            env.update(joined)
+            exits.append(self._save(env, entry))
+        self._merge(env, exits)
 
     def _exec_for(self, statement: ast.ForStmt, env: dict[str, object]) -> None:
         start = self._eval(statement.start, env)
@@ -383,26 +398,87 @@ class AbstractInterpreter:
         env: dict[str, object],
         loop_vars: tuple[str, ...] = (),
     ) -> None:
-        """Chaotic iteration to the loop fixpoint: run the body on an env
-        copy (loop variables ⊤), join, repeat until stable."""
+        """Chaotic iteration to the loop fixpoint: run the body (loop
+        variables ⊤), join its exit with its entry, repeat until stable."""
         for var in loop_vars:
             env[var] = TOP
         for _pass in range(_MAX_HAVOC_PASSES):
-            snapshot = dict(env)
-            pass_env = dict(env)
+            entry = self._save(env)
             try:
                 for inner in body:
-                    self._execute(inner, pass_env)
+                    self._execute(inner, env)
             except _ExitSignal:
                 pass
-            join_envs(env, pass_env)
+            self._merge(env, [entry, self._save(env, entry)])
             for var in loop_vars:
                 env[var] = TOP
-            if env == snapshot:
+            if (
+                env == entry.env
+                and self._globals == entry.globals
+                and all(array == saved for array, saved in entry.arrays.values())
+            ):
                 return
-        # Backstop: force every bound name to ⊤.
-        for key in env:
-            env[key] = TOP
+        # Backstop: force every bound name and array element to ⊤.
+        for array, _ in self._save(env).arrays.values():
+            array[:] = [TOP] * len(array)
+        for names in (env, self._globals):
+            for key in names:
+                names[key] = TOP
+
+    # ------------------------------------------------------------------
+    # Path states
+
+    def _save(
+        self, env: dict[str, object], entry: _PathState | None = None
+    ) -> _PathState:
+        """Save what a path can write.  A path's exit also keeps the
+        arrays of its ``entry``, which other frames may still hold even
+        when no name here reaches them any more."""
+        arrays: dict[int, tuple[list, list]] = {}
+        pending = [
+            value
+            for value in chain(env.values(), self._globals.values())
+            if type(value) is list
+        ]
+        if entry is not None:
+            pending.extend(array for array, _ in entry.arrays.values())
+        while pending:
+            value = pending.pop()
+            if id(value) not in arrays:
+                arrays[id(value)] = (value, value[:])
+                pending.extend(inner for inner in value if type(inner) is list)
+        return _PathState(dict(env), dict(self._globals), arrays)
+
+    def _restore(self, env: dict[str, object], state: _PathState) -> None:
+        for array, elements in state.arrays.values():
+            array[:] = elements
+        self._globals.clear()
+        self._globals.update(state.globals)
+        env.clear()
+        env.update(state.env)
+
+    def _merge(self, env: dict[str, object], states: list[_PathState]) -> None:
+        """Set the live state to the join of saved path exits."""
+        arrays: dict[int, list] = {}
+        elements: dict[int, list] = {}
+        for state in states:
+            for key, (array, values) in state.arrays.items():
+                if key in elements:
+                    elements[key] = [join(a, b) for a, b in zip(elements[key], values)]
+                else:
+                    arrays[key], elements[key] = array, values
+        # Arrays first: joining two different arrays bound to one name
+        # reads their (now joined) elements.
+        for key, array in arrays.items():
+            array[:] = elements[key]
+        joined_env, joined_globals = dict(states[0].env), dict(states[0].globals)
+        for other in states[1:]:
+            join_envs(joined_env, other.env)
+            join_envs(joined_globals, other.globals)
+        self._globals.clear()
+        self._globals.update(joined_globals)
+        env.clear()
+        env.update(joined_env)
 
     def _exec_with(self, statement: ast.WithStmt, env: dict[str, object]) -> None:
         self._eval(statement.subject, env)
@@ -473,10 +549,7 @@ class AbstractInterpreter:
         if isinstance(expression, ast.Call):
             return self._eval_call(expression, env)
         if isinstance(expression, ast.MemberAccess):
-            if expression.args:
-                for arg in expression.args:
-                    self._eval(arg, env)
-            return TOP  # host member access is always unknown statically
+            return self._eval_member(expression, env)
         if isinstance(expression, ast.BinOp):
             return self._eval_binop(expression, env)
         if isinstance(expression, ast.UnaryOp):
@@ -490,6 +563,16 @@ class AbstractInterpreter:
                 return TOP if truth is None else not truth
             except VBARuntimeError:
                 return TOP
+        return TOP
+
+    def _eval_member(
+        self, expression: ast.MemberAccess, env: dict[str, object]
+    ) -> object:
+        """Host member access: unknown statically, but its base and
+        arguments (``CreateObject("WScr" & "ipt.Shell").Run``) still fold."""
+        self._eval(expression.base, env)
+        for arg in expression.args or ():
+            self._eval(arg, env)
         return TOP
 
     def _eval_name(self, expression: ast.Name, env: dict[str, object]) -> object:
@@ -535,9 +618,13 @@ class AbstractInterpreter:
             value = self._fold_builtin(key, builtin, args, expression.line)
             self._record(value, expression.line, key)
             return value
+        return self._eval_host_call(expression, env)
+
+    def _eval_host_call(self, expression: ast.Call, env: dict[str, object]) -> object:
+        """A call to no module procedure and no builtin: a host API."""
         for arg in expression.args:
             self._eval(arg, env)
-        return TOP  # unknown function: host API
+        return TOP
 
     def _fold_builtin(self, key: str, builtin, args: list, line: int) -> object:
         if not all(is_concrete(arg) for arg in args):

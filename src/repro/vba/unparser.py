@@ -137,7 +137,8 @@ def unparse_statement(statement: ast.Statement, depth: int) -> str:
 
 def unparse_expression(expression: ast.Expression, parent_bind: int = 0) -> str:
     if isinstance(expression, ast.Literal):
-        return _render_literal(expression.value)
+        rendered, bind = _render_literal(expression.value)
+        return f"({rendered})" if bind < parent_bind else rendered
     if isinstance(expression, ast.Name):
         return expression.name
     if isinstance(expression, ast.Call):
@@ -151,31 +152,72 @@ def unparse_expression(expression: ast.Expression, parent_bind: int = 0) -> str:
             rendered += f"({args})"
         return rendered
     if isinstance(expression, ast.BinOp):
-        bind = _PRECEDENCE.get(expression.op, 5)
-        op = _KEYWORD_OPS.get(expression.op, expression.op)
-        left = unparse_expression(expression.left, bind)
-        # Right side binds one tighter for left-associative chains.
-        right = unparse_expression(expression.right, bind + 1)
-        rendered = f"{left} {op} {right}"
-        if bind < parent_bind:
-            return f"({rendered})"
-        return rendered
+        # Render the left spine bottom-up in a loop: the parser builds
+        # left-associative chains 10k operators deep.
+        spine = [expression]
+        while isinstance(spine[-1].left, ast.BinOp):
+            spine.append(spine[-1].left)
+        rendered, inner_bind = None, 0
+        for node in reversed(spine):
+            bind = _PRECEDENCE.get(node.op, 5)
+            # The right side binds one tighter (left-associative chains);
+            # so does the left side of the right-associative ``^``.
+            left_bind = bind + 1 if node.op == "^" else bind
+            if rendered is None:
+                rendered = unparse_expression(node.left, left_bind)
+            elif inner_bind < left_bind:
+                rendered = f"({rendered})"
+            op = _KEYWORD_OPS.get(node.op, node.op)
+            right = unparse_expression(node.right, bind + 1)
+            rendered = f"{rendered} {op} {right}"
+            inner_bind = bind
+        return f"({rendered})" if inner_bind < parent_bind else rendered
     if isinstance(expression, ast.UnaryOp):
         operand = unparse_expression(expression.operand, 11)
         if expression.op == "-":
-            return f"-{operand}"
-        return f"Not {operand}"
+            rendered, bind = f"-{operand}", 11
+        else:
+            rendered, bind = f"Not {operand}", 4
+        return f"({rendered})" if bind < parent_bind else rendered
     raise TypeError(f"cannot unparse {type(expression).__name__}")
 
 
-def _render_literal(value: object) -> str:
+#: Binding strength of a literal that renders as one token.
+_ATOM = 99
+
+
+def _render_literal(value: object) -> tuple[str, int]:
+    """Source text for a literal value and how tightly that text binds.
+
+    Negative numbers render as unary minus.  Strings with characters a
+    string literal cannot hold on one line (newlines, other control
+    characters) render as printable runs joined by ``Chr(n)``.
+    """
     if isinstance(value, bool):
-        return "True" if value else "False"
+        return ("True" if value else "False"), _ATOM
     if isinstance(value, str):
-        return '"' + value.replace('"', '""') + '"'
+        return _render_string(value)
     if value is None:
-        return "Empty"
-    if isinstance(value, float):
-        rendered = repr(value)
-        return rendered
-    return str(value)
+        return "Empty", _ATOM
+    rendered = repr(value) if isinstance(value, float) else str(value)
+    return rendered, (11 if rendered.startswith("-") else _ATOM)
+
+
+def _render_string(value: str) -> tuple[str, int]:
+    if value.isprintable():
+        return '"' + value.replace('"', '""') + '"', _ATOM
+    parts: list[str] = []
+    run: list[str] = []
+    for char in value:
+        if char.isprintable():
+            run.append(char)
+            continue
+        if run:
+            parts.append('"' + "".join(run).replace('"', '""') + '"')
+            run = []
+        parts.append(f"Chr({ord(char)})")
+    if run:
+        parts.append('"' + "".join(run).replace('"', '""') + '"')
+    if len(parts) == 1:
+        return parts[0], _ATOM
+    return " & ".join(parts), _PRECEDENCE["&"]

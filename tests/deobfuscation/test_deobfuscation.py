@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.avsim.virustotal import VirusTotalSim
-from repro.deobfuscation import Deobfuscator, deobfuscate
+from repro.deobfuscation import deobfuscate
 from repro.obfuscation.encode import STRATEGIES, StringEncoder
 from repro.obfuscation.pipeline import ObfuscationPipeline, default_pipeline
 from repro.obfuscation.split import StringSplitter
 from repro.vba.interpreter import run_function
+from repro.vba.parser import parse_module
 
 DOWNLOADER = (
     "Sub Document_Open()\n"
@@ -60,6 +61,39 @@ class TestBasicFolding:
         assert result.report.consts_inlined == 1
         # The now-dead const declaration is dropped.
         assert "pzonde" not in result.source
+
+    def test_module_variables_are_not_their_declared_value(self):
+        # Any procedure may have written ``g`` before this code runs; the
+        # Optional parameter keeps the header unparsed, so the body runs
+        # as module-level code.
+        source = (
+            "Dim g\n"
+            "Function Show(ByVal s As String, Optional n As Long = 1)\n"
+            '    y = g & "-seen"\n'
+            "End Function\n"
+            "Sub Other()\n"
+            '    z = g & "-seen"\n'
+            "End Sub\n"
+        )
+        result = deobfuscate(source)
+        assert 'y = g & "-seen"' in result.source
+        assert 'z = g & "-seen"' in result.source
+
+    def test_callees_and_member_bases_stay_expressions(self):
+        source = (
+            "Function F(x)\n"
+            '    F = x & "-out"\n'
+            "End Function\n"
+            "Sub A()\n"
+            "    Dim o\n"
+            "    y = o.Bar\n"
+            '    F "in"\n'
+            "End Sub\n"
+        )
+        result = deobfuscate(source)
+        assert "y = o.Bar" in result.source
+        assert 'F "in"' in result.source
+        assert "Function F(x)" in result.source
 
     def test_numeric_folding(self):
         result = deobfuscate("Sub A()\n    x = 2 + 3 * 4\nEnd Sub\n")
@@ -139,16 +173,6 @@ class TestDecoderEvaluation:
             "payload.exe" in s for s in result.report.recovered_strings
         )
 
-    def test_decoder_evaluation_can_be_disabled(self):
-        from repro.obfuscation.base import make_context
-
-        obfuscated = StringEncoder(strategies=("base64",)).apply(
-            DOWNLOADER, make_context(3)
-        )
-        result = Deobfuscator(evaluate_decoders=False).run(obfuscated)
-        assert "payload.exe" not in result.source
-        assert result.report.decoder_calls_evaluated == 0
-
     def test_impure_functions_not_evaluated(self):
         source = (
             "Function Sneaky(x)\n"
@@ -162,6 +186,49 @@ class TestDecoderEvaluation:
         result = deobfuscate(source)
         assert result.report.decoder_calls_evaluated == 0
         assert "Sneaky" in result.source
+
+
+    def test_unknown_calls_make_a_function_impure(self):
+        source = (
+            "Function Launch(x)\n"
+            "    Shell x, 0\n"
+            '    Launch = x & "-done"\n'
+            "End Function\n"
+            "Sub A()\n"
+            '    y = Launch("calc")\n'
+            "End Sub\n"
+        )
+        result = deobfuscate(source)
+        assert result.report.decoder_calls_evaluated == 0
+        assert 'y = Launch("calc")' in result.source
+
+    def test_parameter_writes_make_a_function_impure(self):
+        # Arguments pass by reference: the caller sees ``arr(0)`` change.
+        source = (
+            "Function Stamp(arr)\n"
+            '    arr(0) = "stamped"\n'
+            '    Stamp = "stamp-result"\n'
+            "End Function\n"
+            "Sub A()\n"
+            "    Dim a(1)\n"
+            "    y = Stamp(a)\n"
+            "End Sub\n"
+        )
+        assert "y = Stamp(a)" in deobfuscate(source).source
+
+    def test_host_statements_make_a_function_impure(self):
+        source = (
+            "Function Noisy(x)\n"
+            "    MsgBox x\n"
+            '    Noisy = x & "-done"\n'
+            "End Function\n"
+            "Sub A()\n"
+            '    y = Noisy("hello")\n'
+            "End Sub\n"
+        )
+        result = deobfuscate(source)
+        assert result.report.decoder_calls_evaluated == 0
+        assert 'y = Noisy("hello")' in result.source
 
 
 class TestSemanticsPreserved:
@@ -198,6 +265,97 @@ class TestSemanticsPreserved:
         obfuscated = StringEncoder(min_length=4).apply(source, make_context(seed))
         result = deobfuscate(obfuscated)
         assert value in result.source
+
+
+class TestTotality:
+    """Hostile shapes come back as a result, never as an exception."""
+
+    def test_deep_concat_chain_folds(self):
+        terms = " & ".join(['"ab"'] * 5000)
+        result = deobfuscate(f"Sub A()\n    x = {terms}\nEnd Sub\n")
+        assert result.report.parsed
+        assert '"' + "ab" * 5000 + '"' in result.source
+
+    def test_deep_unfoldable_chain_round_trips(self):
+        terms = " & ".join(["y"] * 5000)
+        source = f"Sub A(y)\n    x = {terms}\nEnd Sub\n"
+        result = deobfuscate(source)
+        assert result.source == source
+        assert deobfuscate(result.source).source == result.source
+
+    def test_deep_statement_nesting_folds(self):
+        depth = 200
+        source = (
+            "Sub A(y)\n" + "If y Then\n" * depth + "x = 1 + 2\n"
+            + "End If\n" * depth + "End Sub\n"
+        )
+        result = deobfuscate(source)
+        assert result.report.parsed
+        assert "x = 3" in result.source
+
+    def test_deep_parentheses_are_a_parse_failure(self):
+        source = "Sub A()\n    x = " + "(" * 600 + "1" + ")" * 600 + "\nEnd Sub\n"
+        result = deobfuscate(source)
+        assert not result.report.parsed
+        assert result.report.error
+        assert result.source == source
+
+
+    def test_pass_cut_short_rewrites_nothing(self, monkeypatch):
+        # The step budget runs out in Burn, before Dec's own entry run:
+        # Dec's body was only seen with A's argument, so rewriting it
+        # would pin Dec to that one value.
+        from repro.deobfuscation import engine
+        from repro.resilience.budgets import SABudget
+
+        monkeypatch.setattr(engine, "DEEP_SA_BUDGET", SABudget(max_steps=300))
+        source = (
+            "Sub A()\n"
+            '    x = Dec("cba-fed")\n'
+            "End Sub\n"
+            "Sub Burn()\n"
+            "    For i = 1 To 1000\n"
+            "        n = n + 1\n"
+            "    Next i\n"
+            "End Sub\n"
+            "Function Dec(s)\n"
+            "    Dec = StrReverse(s)\n"
+            "End Function\n"
+        )
+        result = deobfuscate(source)
+        assert result.source == source
+        assert "cut short" in result.report.error
+
+
+class TestLiteralRendering:
+    def test_control_characters_render_as_chr(self):
+        source = (
+            "Function A()\n"
+            '    A = "abc" & Chr(10) & "def" & Chr(13) & Chr(9)\n'
+            "End Function\n"
+        )
+        result = deobfuscate(source)
+        assert result.report.folded_expressions
+        # One statement still: no raw newline split the literal.
+        assert len(parse_module(result.source).procedure("A").body) == 1
+        assert run_function(result.source, "A") == "abc\ndef\r\t"
+        assert deobfuscate(result.source).source == result.source
+
+    def test_folded_control_characters_keep_precedence(self):
+        source = (
+            "Function F(y)\n"
+            '    F = Len(("ab" & Chr(10)) + y)\n'
+            "End Function\n"
+        )
+        once = deobfuscate(source).source
+        assert run_function(once, "F", "cd") == run_function(source, "F", "cd") == 5
+        assert deobfuscate(once).source == once
+
+    def test_negative_literal_base_keeps_its_parentheses(self):
+        source = "Function F(y)\n    a = 0 - 5\n    F = a ^ y\nEnd Function\n"
+        once = deobfuscate(source).source
+        assert "(-5) ^ y" in once
+        assert run_function(once, "F", 2) == run_function(source, "F", 2) == 25
 
 
 class TestSignatureRecovery:

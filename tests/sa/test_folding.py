@@ -15,6 +15,52 @@ from repro.sa import DEFAULT_SA_BUDGET, recover_strings
 
 SECRET = "http://malware-site.example/stage2/payload.exe"
 
+#: Functions whose result depends on whether one path wrote an array
+#: element or a module variable: ``F(False)`` is "alpha-tail", ``F(True)``
+#: (or ``F(n)`` with ``n >= 1``) is "omega-tail".
+ONE_PATH_WRITES = {
+    "array-branch": (
+        "Function F(flag)\n"
+        "    Dim a(1)\n"
+        '    a(0) = "alpha"\n'
+        "    If flag Then\n"
+        '        a(0) = "omega"\n'
+        "    End If\n"
+        '    F = a(0) & "-tail"\n'
+        "End Function\n"
+    ),
+    "global-branch": (
+        "Dim g\n"
+        "Function F(flag)\n"
+        '    g = "alpha"\n'
+        "    If flag Then\n"
+        '        g = "omega"\n'
+        "    End If\n"
+        '    F = g & "-tail"\n'
+        "End Function\n"
+    ),
+    "array-loop": (
+        "Function F(n)\n"
+        "    Dim a(1)\n"
+        '    a(0) = "alpha"\n'
+        "    For i = 1 To n\n"
+        '        a(0) = "omega"\n'
+        "    Next i\n"
+        '    F = a(0) & "-tail"\n'
+        "End Function\n"
+    ),
+    "global-loop": (
+        "Dim g\n"
+        "Function F(n)\n"
+        '    g = "alpha"\n'
+        "    For i = 1 To n\n"
+        '        g = "omega"\n'
+        "    Next i\n"
+        '    F = g & "-tail"\n'
+        "End Function\n"
+    ),
+}
+
 
 def recovered_values(source: str, budget=None) -> list[str]:
     recovery = recover_strings(source, budget or DEFAULT_SA_BUDGET)
@@ -136,6 +182,37 @@ class TestControlFlowFolding:
         assert "left-payload" in values
         assert "right-payload" in values
 
+    @pytest.mark.parametrize("case", sorted(ONE_PATH_WRITES))
+    def test_one_path_write_does_not_leak_into_the_join(self, case):
+        # Each path starts from the same arrays and module variables; a
+        # write on one path must not survive as the joined value.
+        values = recovered_values(ONE_PATH_WRITES[case])
+        assert "omega-tail" not in values
+        assert "alpha-tail" not in values
+
+    def test_branch_writes_into_a_callers_array_are_joined(self):
+        # The join lands in the caller's array object, which stays shared:
+        # the write after the branch reaches the caller too.
+        source = (
+            "Sub Mark(arr, flag)\n"
+            "    If flag Then\n"
+            '        arr(0) = "omega"\n'
+            "    End If\n"
+            '    arr(1) = "beta"\n'
+            "End Sub\n"
+            "Function F(flag)\n"
+            "    Dim a(1)\n"
+            '    a(0) = "alpha"\n'
+            "    Mark a, flag\n"
+            '    after = a(1) & "-after"\n'
+            '    F = a(0) & "-tail"\n'
+            "End Function\n"
+        )
+        values = recovered_values(source)
+        assert "omega-tail" not in values
+        assert "alpha-tail" not in values
+        assert "beta-after" in values
+
     def test_unknown_values_stay_silent(self):
         source = (
             "Sub Run()\n"
@@ -145,6 +222,21 @@ class TestControlFlowFolding:
         recovery = recover_strings(source)
         assert not recovery.parse_failed
         assert "tail" not in "".join(recovery.values())
+
+
+class TestHostExpressionFolding:
+    """Host member chains stay ⊤, but their base and arguments fold."""
+
+    @pytest.mark.parametrize(
+        "statement, expected",
+        [
+            ('CreateObject("WScr" & "ipt.Shell").Run "calc", 0', "WScript.Shell"),
+            ('x = ActiveDocument.Variables("pay" & "load").Value', "payload"),
+        ],
+    )
+    def test_member_base_folds(self, statement, expected):
+        source = f"Sub Run()\n    {statement}\nEnd Sub"
+        assert expected in recovered_values(source)
 
 
 class TestObfuscatorStrategies:
