@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.avsim.signatures import Signature
 from repro.avsim.vendor import AVVendor, build_vendor_fleet
 
 MALICIOUS_THRESHOLD = 25  # strictly more than this many detections
@@ -56,6 +57,23 @@ class VirusTotalSim:
         if not self.vendors:
             raise ValueError("need at least one vendor")
         self._hash_feed: set[str] = set()
+        # Every distinct signature object in the fleet, matched once per
+        # text; each vendor scores from its subset as ``AVVendor.scan`` does.
+        slots: dict[int, int] = {}
+        self._signatures: list[Signature] = []
+        self._plans: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+        for vendor in self.vendors:
+            triggers, weighted = [], []
+            for signature in vendor.signatures:
+                slot = slots.get(id(signature))
+                if slot is None:
+                    slot = slots[id(signature)] = len(self._signatures)
+                    self._signatures.append(signature)
+                if signature.name.startswith("trigger."):
+                    triggers.append(slot)
+                else:
+                    weighted.append((slot, signature.weight))
+            self._plans.append((tuple(triggers), tuple(weighted)))
 
     @staticmethod
     def macro_hash(macro_text: str) -> str:
@@ -74,12 +92,25 @@ class VirusTotalSim:
         mix = hashlib.sha256((vendor.name + digest).encode()).digest()
         return mix[0] < 179  # 179/256 ≈ 0.7
 
+    @staticmethod
+    def _flags(plan, vendor: AVVendor, hits: list[bool]) -> bool:
+        """``vendor.scan`` of a text whose signature matches are ``hits``."""
+        triggers, weighted = plan
+        score = sum(weight for slot, weight in weighted if hits[slot])
+        if score > 0 and any(hits[slot] for slot in triggers):
+            score += vendor.heuristic_autoexec_bonus
+        return score >= vendor.threshold
+
     def scan(self, macro_texts: list[str]) -> ScanReport:
         digests = [self.macro_hash(text) for text in macro_texts]
         blacklisted = [d for d in digests if d in self._hash_feed]
+        matches = [
+            [signature.pattern.search(text) is not None for signature in self._signatures]
+            for text in macro_texts
+        ]
         flagged = []
-        for vendor in self.vendors:
-            hit = vendor.scan_document(macro_texts) or any(
+        for vendor, plan in zip(self.vendors, self._plans):
+            hit = any(self._flags(plan, vendor, hits) for hits in matches) or any(
                 self._vendor_subscribes(vendor, digest) for digest in blacklisted
             )
             if hit:

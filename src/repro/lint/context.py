@@ -1,15 +1,31 @@
 """Shared per-module scan state handed to every lint rule.
 
 Rules all walk the same :class:`~repro.vba.analyzer.MacroAnalysis`
-substrate; the :class:`LintContext` memoizes the derived views they keep
-needing — the significant token stream, logical statements, identifier
-use counts — so a full rule sweep stays one lex pass plus cheap token
-walks, never a re-tokenization per rule.
+substrate.  The :class:`LintContext` builds, once per macro and in one
+pass over the tokens, the views they jump through instead of re-walking
+the stream:
+
+* ``significant`` — the tokens with layout, comments and EOF dropped;
+* ``words`` — a column parallel to ``significant``: the lower-cased,
+  suffix-stripped text of a name, the text of punctuation or an operator,
+  ``None`` for literals;
+* ``index`` — each word's ascending ``significant`` positions, so a rule
+  starts at its anchor tokens (``Mid``, ``.``, ``Exit``) and tests their
+  neighbours through ``words``;
+* ``statement_bounds`` — the ``[start, end)`` positions of each logical
+  statement, with ``statement_of`` mapping a position back to its
+  statement.
+
+Derivations that several rules share (``Const`` declarations, procedure
+headers, ``Dim`` names) are memoized here too, so a full rule sweep is one
+lex pass, one column pass, and anchor lookups.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
+from heapq import merge
 from typing import TYPE_CHECKING
 
 from repro.vba.analyzer import MacroAnalysis
@@ -19,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sa.records import StringRecovery
 
 _NAME_KINDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+_TYPE_SUFFIXES = "%&!#@$"
 
 #: ReDoS / pathological-line guard: the longest physical-line prefix any
 #: rule gets to scan.  Hostile macros pack megabytes onto one line (a
@@ -37,7 +54,7 @@ def is_name(token: Token, *names: str) -> bool:
     if token.kind not in _NAME_KINDS:
         return False
     text = token.text.lower()
-    if text and text[-1] in "%&!#@$":
+    if text and text[-1] in _TYPE_SUFFIXES:
         text = text[:-1]
     return text in names
 
@@ -60,7 +77,15 @@ def token_span(token: Token) -> tuple[int, int]:
 
 
 class LintContext:
-    """Cached views over one macro's analysis, shared across all rules."""
+    """Cached views over one macro's analysis, shared across all rules.
+
+    Word equality stands in for the ``is_*`` predicates: the lexer makes
+    every reserved word a KEYWORD (never suffixed) and every other name an
+    IDENTIFIER, and punctuation and operator texts are disjoint symbol
+    sets, so ``words[i] == "exit"`` is ``is_keyword(tok, "exit")``,
+    ``words[i] == "("`` is ``is_punct(tok, "(")`` and ``words[i] == "mid"``
+    is ``is_name(tok, "mid")``.
+    """
 
     def __init__(
         self,
@@ -74,57 +99,134 @@ class LintContext:
         self.recovery = recovery
 
     @cached_property
+    def _columns(
+        self,
+    ) -> tuple[list[Token], list[str | None], list[tuple[int, int]], list[int]]:
+        """One pass: significant tokens, words, statement bounds, strings.
+
+        Statements break on newlines and on ``:`` separators outside
+        parentheses (``DoEvents: i = i + 1`` is two statements); the
+        parenthesis depth carries across lines.  Line continuations were
+        already spliced by the lexer, so a continued statement arrives as
+        one group.
+        """
+        significant: list[Token] = []
+        words: list[str | None] = []
+        bounds: list[tuple[int, int]] = []
+        strings: list[int] = []
+        keep = significant.append
+        word_of = words.append
+        whitespace = TokenKind.WHITESPACE
+        punct = TokenKind.PUNCT
+        identifier = TokenKind.IDENTIFIER
+        newline = TokenKind.NEWLINE
+        keyword = TokenKind.KEYWORD
+        operator = TokenKind.OPERATOR
+        string = TokenKind.STRING
+        layout = (TokenKind.LINE_CONTINUATION, TokenKind.COMMENT, TokenKind.EOF)
+        spelled: dict[str, str] = {}
+        start = depth = 0
+        # Branches in order of token frequency in real macros.
+        for token in self.analysis.tokens:
+            kind = token.kind
+            if kind is whitespace:
+                continue
+            if kind is punct:
+                word = token.text
+                if word == "(":
+                    depth += 1
+                elif word == ")":
+                    if depth:
+                        depth -= 1
+                elif word == ":" and not depth:
+                    end = len(significant)
+                    if end > start:
+                        bounds.append((start, end))
+                    start = end + 1
+            elif kind is identifier or kind is keyword:
+                # One word object per distinct spelling: a name recurs
+                # throughout a macro, and the column keeps what it holds.
+                text = token.text
+                word = spelled.get(text)
+                if word is None:
+                    word = text.lower()
+                    if word[-1] in _TYPE_SUFFIXES:
+                        word = word[:-1]
+                    spelled[text] = word
+            elif kind is newline:
+                end = len(significant)
+                if end > start:
+                    bounds.append((start, end))
+                start = end
+                continue
+            elif kind is operator:
+                word = token.text
+            elif kind in layout:
+                continue
+            else:
+                if kind is string:
+                    strings.append(len(significant))
+                word = None
+            keep(token)
+            word_of(word)
+        end = len(significant)
+        if end > start:
+            bounds.append((start, end))
+        return significant, words, bounds, strings
+
+    @property
     def significant(self) -> list[Token]:
         """Tokens with whitespace, continuations, comments and EOF dropped."""
-        unwanted = (
-            TokenKind.WHITESPACE,
-            TokenKind.NEWLINE,
-            TokenKind.LINE_CONTINUATION,
-            TokenKind.COMMENT,
-            TokenKind.EOF,
-        )
-        return [
-            token
-            for token in self.analysis.tokens
-            if token.kind not in unwanted
-        ]
+        return self._columns[0]
+
+    @property
+    def words(self) -> list[str | None]:
+        """Per ``significant`` position: the name (lower-cased, type suffix
+        dropped), the punctuation or operator text, or ``None``."""
+        return self._columns[1]
+
+    @property
+    def statement_bounds(self) -> list[tuple[int, int]]:
+        """``[start, end)`` ``significant`` positions of each logical
+        statement, in order; separator ``:`` tokens fall between them."""
+        return self._columns[2]
+
+    @property
+    def strings(self) -> list[int]:
+        """Ascending ``significant`` positions of the string literals."""
+        return self._columns[3]
 
     @cached_property
     def statements(self) -> list[list[Token]]:
-        """Significant tokens grouped into logical statements.
+        """Significant tokens grouped into logical statements."""
+        significant = self.significant
+        return [significant[start:end] for start, end in self.statement_bounds]
 
-        Statements break on newlines and on ``:`` separators outside
-        parentheses (``DoEvents: i = i + 1`` is two statements).  Line
-        continuations were already spliced by the lexer, so a continued
-        statement arrives as one group.
-        """
-        groups: list[list[Token]] = []
-        current: list[Token] = []
-        depth = 0
-        unwanted = (
-            TokenKind.WHITESPACE,
-            TokenKind.LINE_CONTINUATION,
-            TokenKind.COMMENT,
-            TokenKind.EOF,
-        )
-        for token in self.analysis.tokens:
-            if token.kind in unwanted:
-                continue
-            if token.kind is TokenKind.NEWLINE or (
-                depth == 0 and is_punct(token, ":")
-            ):
-                if current:
-                    groups.append(current)
-                    current = []
-                continue
-            if is_punct(token, "("):
-                depth += 1
-            elif is_punct(token, ")"):
-                depth = max(0, depth - 1)
-            current.append(token)
-        if current:
-            groups.append(current)
-        return groups
+    @cached_property
+    def statement_of(self) -> list[int]:
+        """Per ``significant`` position, the number of its statement
+        (``-1`` for a separating ``:``)."""
+        owner = [-1] * len(self.significant)
+        for number, (start, end) in enumerate(self.statement_bounds):
+            owner[start:end] = [number] * (end - start)
+        return owner
+
+    @cached_property
+    def index(self) -> dict[str, list[int]]:
+        """Each word's ascending ``significant`` positions."""
+        positions: defaultdict[str | None, list[int]] = defaultdict(list)
+        for position, word in enumerate(self.words):
+            positions[word].append(position)
+        positions.pop(None, None)
+        return dict(positions)
+
+    def positions(self, *words: str) -> list[int]:
+        """Ascending ``significant`` positions of any of ``words``."""
+        index = self.index
+        hits = [index[word] for word in words if word in index]
+        if len(hits) == 1:
+            return hits[0]
+        return list(merge(*hits))
 
     @cached_property
     def use_counts(self) -> dict[str, int]:
@@ -135,14 +237,133 @@ class LintContext:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
+    def first_identifier(self, name: str) -> Token | None:
+        """The first IDENTIFIER token whose lower-cased text is ``name``
+        (lower-case), for locating declarations."""
+        word = name[:-1] if name and name[-1] in _TYPE_SUFFIXES else name
+        significant = self.significant
+        for position in self.index.get(word, ()):
+            token = significant[position]
+            if token.kind is TokenKind.IDENTIFIER and token.text.lower() == name:
+                return token
+        return None
+
+    def _statement_head(self, position: int, prefixes: tuple[str, ...]) -> int:
+        """The number of the statement that the word at ``position`` opens,
+        optionally after one word of ``prefixes``; ``-1`` if it opens none."""
+        number = self.statement_of[position]
+        start = self.statement_bounds[number][0]
+        if position == start or (
+            position == start + 1 and self.words[start] in prefixes
+        ):
+            return number
+        return -1
+
     @cached_property
-    def first_name_token(self) -> dict[str, Token]:
-        """First identifier token per lower-cased name, for locating declarations."""
-        first: dict[str, Token] = {}
-        for token in self.significant:
-            if token.kind is TokenKind.IDENTIFIER:
-                first.setdefault(token.text.lower(), token)
-        return first
+    def const_declarations(self) -> list[tuple[int, int]]:
+        """``(name, value)`` positions of single-literal ``Const`` items.
+
+        Handles ``[Public|Private|Global] Const name [As Type] = "literal"``
+        with multiple comma-separated items per statement.
+        """
+        words = self.words
+        significant = self.significant
+        identifier = TokenKind.IDENTIFIER
+        string = TokenKind.STRING
+        found: list[tuple[int, int]] = []
+        for position in self.index.get("const", ()):
+            number = self._statement_head(position, ("public", "private", "global"))
+            if number < 0:
+                continue
+            end = self.statement_bounds[number][1]
+            index = position + 1
+            while index < end:
+                if significant[index].kind is not identifier:
+                    break
+                name = index
+                index += 1
+                if index < end and words[index] == "as":
+                    index += 2  # skip the type name
+                if index >= end or words[index] != "=":
+                    break
+                index += 1
+                value = -1
+                if (
+                    index < end
+                    and significant[index].kind is string
+                    and (index + 1 >= end or words[index + 1] == ",")
+                ):
+                    value = index
+                # Skip the initializer expression up to the next item separator.
+                while index < end and words[index] != ",":
+                    index += 1
+                index += 1
+                if value >= 0:
+                    found.append((name, value))
+        return found
+
+    @cached_property
+    def procedure_headers(self) -> dict[int, tuple[str, int]]:
+        """``[visibility] [Static] Sub|Function name`` statement heads.
+
+        Maps a statement number to ``(visibility, name position)``.
+        ``Property`` procedures are skipped: accessors are invoked
+        implicitly by reads and writes, so a use count says nothing about
+        their liveness.
+        """
+        words = self.words
+        significant = self.significant
+        bounds = self.statement_bounds
+        owner = self.statement_of
+        headers: dict[int, tuple[str, int]] = {}
+        for position in self.positions("sub", "function"):
+            number = owner[position]
+            start, end = bounds[number]
+            visibility = "public"
+            head = start
+            if words[head] in ("public", "private", "friend"):
+                visibility = words[head]
+                head += 1
+            if words[head] == "static":
+                head += 1
+            if head != position or position + 1 >= end:
+                continue
+            if significant[position + 1].kind is TokenKind.IDENTIFIER:
+                headers[number] = (visibility, position + 1)
+        return headers
+
+    @cached_property
+    def dim_names(self) -> list[int]:
+        """Positions of the names a ``Dim``/``Static`` statement declares."""
+        words = self.words
+        significant = self.significant
+        identifier = TokenKind.IDENTIFIER
+        names: list[int] = []
+        for position in self.positions("dim", "static"):
+            number = self._statement_head(position, ("public", "private", "global"))
+            if number < 0:
+                continue
+            depth = 0
+            expecting_name = True
+            for index in range(position + 1, self.statement_bounds[number][1]):
+                word = words[index]
+                if word == "(":
+                    depth += 1
+                elif word == ")":
+                    depth = max(0, depth - 1)
+                elif word == ",":
+                    if depth == 0:
+                        expecting_name = True
+                elif word == "as":
+                    expecting_name = False
+                elif (
+                    significant[index].kind is identifier
+                    and expecting_name
+                    and depth == 0
+                ):
+                    names.append(index)
+                    expecting_name = False
+        return names
 
     def line_text(self, line: int) -> str:
         """The trimmed source text of a 1-based physical line.

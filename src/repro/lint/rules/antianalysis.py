@@ -15,12 +15,7 @@ from __future__ import annotations
 
 import re
 
-from repro.lint.context import (
-    LintContext,
-    is_keyword,
-    is_name,
-    is_punct,
-)
+from repro.lint.context import LintContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
 from repro.vba.parser import VBAParseError, parse_module
@@ -35,6 +30,10 @@ _PROPERTY_MEMBERS = ("caption", "controltiptext", "tag")
 
 #: Keywords that make a statement a guard condition.
 _CONDITION_KEYWORDS = ("if", "elseif", "while", "until")
+#: Words a sandbox probe starts at (see ``FlowEvasionGuard._is_probe``).
+_PROBE_ANCHORS = frozenset(
+    ("gettickcount", "timer", "recentfiles", "windows", ".", "environ")
+)
 
 
 @register_rule
@@ -43,7 +42,8 @@ class HiddenStringRead(Rule):
 
     Document variables, custom document properties, and control captions
     (Fig. 8(a) and [MS-OFORMS]) let a macro keep its strings out of the
-    module text entirely; any such read is worth surfacing.
+    module text entirely; any such read is worth surfacing.  The scan
+    starts at ``.`` tokens and ``UserForm<n>`` names.
     """
 
     rule_id = "aa-hidden-strings"
@@ -53,25 +53,31 @@ class HiddenStringRead(Rule):
 
     def scan(self, ctx: LintContext):
         tokens = ctx.significant
-        for index, token in enumerate(tokens):
-            nxt = tokens[index + 1] if index + 1 < len(tokens) else None
-            nxt2 = tokens[index + 2] if index + 2 < len(tokens) else None
-            if is_punct(token, ".") and nxt is not None:
-                if is_name(nxt, *_CALL_MEMBERS) and nxt2 is not None and is_punct(
-                    nxt2, "("
+        words = ctx.words
+        last = len(tokens) - 1
+        for index in ctx.index.get(".", ()):
+            if index >= last:
+                continue
+            member = words[index + 1]
+            if member in _CALL_MEMBERS and index + 2 <= last and words[index + 2] == "(":
+                yield self._read(ctx, tokens[index], f".{tokens[index + 1].text}(")
+            elif member in _PROPERTY_MEMBERS:
+                yield self._read(ctx, tokens[index], f".{tokens[index + 1].text}")
+        for word, positions in ctx.index.items():
+            if not word.startswith("userform"):
+                continue
+            for index in positions:
+                token = tokens[index]
+                if (
+                    token.kind is TokenKind.IDENTIFIER
+                    and _USERFORM.match(token.text.lower())
+                    and index + 2 <= last
+                    and words[index + 1] == "."
+                    and tokens[index + 2].kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
                 ):
-                    yield self._read(ctx, token, f".{nxt.text}(")
-                elif is_name(nxt, *_PROPERTY_MEMBERS):
-                    yield self._read(ctx, token, f".{nxt.text}")
-            elif (
-                token.kind is TokenKind.IDENTIFIER
-                and _USERFORM.match(token.text.lower())
-                and nxt is not None
-                and is_punct(nxt, ".")
-                and nxt2 is not None
-                and nxt2.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
-            ):
-                yield self._read(ctx, token, f"{token.text}.{nxt2.text}")
+                    yield self._read(
+                        ctx, token, f"{token.text}.{tokens[index + 2].text}"
+                    )
 
     def _read(self, ctx: LintContext, token: Token, expr: str) -> Finding:
         return self.finding(ctx, token, f"document-storage read: {expr!r}")
@@ -94,11 +100,11 @@ class BrokenCodeShadow(Rule):
 
     def scan(self, ctx: LintContext):
         tokens = ctx.significant
+        words = ctx.words
         exit_lines = [
-            token.line
-            for index, token in enumerate(tokens[:-1])
-            if is_keyword(token, "exit")
-            and tokens[index + 1].text.lower() in ("sub", "function")
+            tokens[index].line
+            for index in ctx.index.get("exit", ())
+            if index + 1 < len(tokens) and words[index + 1] in ("sub", "function")
         ]
         if not exit_lines:
             return
@@ -129,7 +135,8 @@ class FlowEvasionGuard(Rule):
 
     Fires only when the environment probe sits in a *condition* statement
     (``If``/``ElseIf``/``While``/``Until``) — reading ``Environ`` into a
-    variable is ordinary code, branching on it is evasion.
+    variable is ordinary code, branching on it is evasion.  Only the
+    statements holding a condition keyword are visited.
     """
 
     rule_id = "aa-flow-evasion"
@@ -138,13 +145,19 @@ class FlowEvasionGuard(Rule):
     description = "environment-check guard around macro logic"
 
     def scan(self, ctx: LintContext):
-        for statement in ctx.statements:
-            if not any(
-                is_keyword(token, *_CONDITION_KEYWORDS) for token in statement
-            ):
-                continue
-            for index, token in enumerate(statement):
-                if self._is_probe(statement, index):
+        owner = ctx.statement_of
+        guarded = sorted(
+            {owner[index] for index in ctx.positions(*_CONDITION_KEYWORDS)}
+        )
+        tokens = ctx.significant
+        words = ctx.words
+        for number in guarded:
+            start, end = ctx.statement_bounds[number]
+            for index in range(start, end):
+                if words[index] in _PROBE_ANCHORS and self._is_probe(
+                    tokens, words, start, end, index
+                ):
+                    token = tokens[index]
                     yield self.finding(
                         ctx,
                         token,
@@ -153,50 +166,35 @@ class FlowEvasionGuard(Rule):
                     )
 
     @staticmethod
-    def _is_probe(statement: list[Token], index: int) -> bool:
-        token = statement[index]
-        nxt = statement[index + 1] if index + 1 < len(statement) else None
-        nxt2 = statement[index + 2] if index + 2 < len(statement) else None
+    def _is_probe(
+        tokens: list[Token], words: list, start: int, end: int, index: int
+    ) -> bool:
+        word = words[index]
+        nxt = words[index + 1] if index + 1 < end else None
+        nxt2 = words[index + 2] if index + 2 < end else None
 
         # GetTickCount / Timer used as a bare timing probe.
-        if is_name(token, "gettickcount", "timer"):
+        if word in ("gettickcount", "timer"):
             return True
         # RecentFiles.Count
-        if (
-            is_name(token, "recentfiles")
-            and nxt is not None
-            and is_punct(nxt, ".")
-            and nxt2 is not None
-            and is_name(nxt2, "count")
-        ):
-            return True
+        if word == "recentfiles":
+            return nxt == "." and nxt2 == "count"
         # Application.Windows.Count — anchor on the Windows member.
-        if (
-            is_name(token, "windows")
-            and index >= 2
-            and is_punct(statement[index - 1], ".")
-            and is_name(statement[index - 2], "application")
-            and nxt is not None
-            and is_punct(nxt, ".")
-            and nxt2 is not None
-            and is_name(nxt2, "count")
-        ):
-            return True
+        if word == "windows":
+            return (
+                index - 2 >= start
+                and words[index - 1] == "."
+                and words[index - 2] == "application"
+                and nxt == "."
+                and nxt2 == "count"
+            )
         # .MousePointer sandbox probe.
-        if (
-            is_punct(token, ".")
-            and nxt is not None
-            and is_name(nxt, "mousepointer")
-        ):
-            return True
+        if word == ".":
+            return nxt == "mousepointer"
         # Environ("USERNAME") / Environ("COMPUTERNAME")
-        if (
-            is_name(token, "environ")
-            and nxt is not None
-            and is_punct(nxt, "(")
-            and nxt2 is not None
-            and nxt2.kind is TokenKind.STRING
-            and nxt2.string_value.upper() in ("USERNAME", "COMPUTERNAME")
-        ):
-            return True
-        return False
+        return (
+            nxt == "("
+            and index + 2 < end
+            and tokens[index + 2].kind is TokenKind.STRING
+            and tokens[index + 2].string_value.upper() in ("USERNAME", "COMPUTERNAME")
+        )

@@ -73,7 +73,7 @@ class GibberishIdentifier(Rule):
         for name in ctx.analysis.declared_identifiers:
             if not looks_machine_generated(name):
                 continue
-            token = ctx.first_name_token.get(name.lower())
+            token = ctx.first_identifier(name.lower())
             if token is None:
                 continue
             yield self.finding(
@@ -103,7 +103,7 @@ class NamingProfile(Rule):
             return
         if not all(len(name) >= 6 and name == name.lower() for name in declared):
             return
-        token = ctx.first_name_token.get(declared[0].lower())
+        token = ctx.first_identifier(declared[0].lower())
         if token is None:
             return
         yield self.finding(

@@ -10,60 +10,11 @@ a constant expression is always written as one literal.
 
 from __future__ import annotations
 
-from repro.lint.context import (
-    LintContext,
-    is_keyword,
-    is_name,
-    is_operator,
-    is_punct,
-)
+from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import Token, TokenKind
+from repro.vba.tokens import TokenKind
 
 _CONCAT = ("&", "+")
-
-
-def iter_const_declarations(ctx: LintContext):
-    """Yield ``(name_token, value_token)`` for single-literal Const items.
-
-    Handles ``[Public|Private|Global] Const name [As Type] = "literal"``
-    with multiple comma-separated items per statement.
-    """
-    for statement in ctx.statements:
-        index = 0
-        if index < len(statement) and is_keyword(
-            statement[index], "public", "private", "global"
-        ):
-            index += 1
-        if index >= len(statement) or not is_keyword(statement[index], "const"):
-            continue
-        index += 1
-        while index < len(statement):
-            if statement[index].kind is not TokenKind.IDENTIFIER:
-                break
-            name_token = statement[index]
-            index += 1
-            if index < len(statement) and is_keyword(statement[index], "as"):
-                index += 2  # skip the type name
-            if index >= len(statement) or not is_operator(statement[index], "="):
-                break
-            index += 1
-            value_token: Token | None = None
-            if (
-                index < len(statement)
-                and statement[index].kind is TokenKind.STRING
-                and (
-                    index + 1 >= len(statement)
-                    or is_punct(statement[index + 1], ",")
-                )
-            ):
-                value_token = statement[index]
-            # Skip the initializer expression up to the next item separator.
-            while index < len(statement) and not is_punct(statement[index], ","):
-                index += 1
-            index += 1
-            if value_token is not None:
-                yield name_token, value_token
 
 
 @register_rule
@@ -75,6 +26,8 @@ class LiteralConcatenation(Rule):
     words.  Split obfuscators carve strings into 1–4 character chunks, so
     the rule demands at least one adjacent pair where *both* literals are
     that short: ``"pow" & "ers" & "hell"`` fires, readable joins do not.
+    A chain is a maximal ``literal (op literal)+`` run inside one
+    statement; the scan visits only string literals.
     """
 
     rule_id = "o2-literal-concat"
@@ -85,39 +38,44 @@ class LiteralConcatenation(Rule):
     _MAX_FRAGMENT = 4
 
     def scan(self, ctx: LintContext):
-        for statement in ctx.statements:
-            index = 0
-            while index + 2 < len(statement):
-                if not (
-                    statement[index].kind is TokenKind.STRING
-                    and is_operator(statement[index + 1], *_CONCAT)
-                    and statement[index + 2].kind is TokenKind.STRING
-                ):
-                    index += 1
-                    continue
-                literals = [statement[index], statement[index + 2]]
-                end = index + 2
-                while (
-                    end + 2 < len(statement)
-                    and is_operator(statement[end + 1], *_CONCAT)
-                    and statement[end + 2].kind is TokenKind.STRING
-                ):
-                    literals.append(statement[end + 2])
-                    end += 2
-                short_pair = any(
-                    len(a.string_value) <= self._MAX_FRAGMENT
-                    and len(b.string_value) <= self._MAX_FRAGMENT
-                    for a, b in zip(literals, literals[1:])
+        tokens = ctx.significant
+        words = ctx.words
+        owner = ctx.statement_of
+        string = TokenKind.STRING
+        last = len(tokens) - 1
+
+        def joins(index: int) -> bool:
+            """A concat operator then a literal follow ``index`` in its statement."""
+            return (
+                index + 2 <= last
+                and words[index + 1] in _CONCAT
+                and tokens[index + 2].kind is string
+                and owner[index + 2] == owner[index]
+            )
+
+        for index in ctx.strings:
+            if not joins(index) or (
+                index >= 2 and tokens[index - 2].kind is string and joins(index - 2)
+            ):
+                continue  # no chain here, or the middle of an earlier one
+            literals = [tokens[index], tokens[index + 2]]
+            end = index + 2
+            while joins(end):
+                literals.append(tokens[end + 2])
+                end += 2
+            short_pair = any(
+                len(a.string_value) <= self._MAX_FRAGMENT
+                and len(b.string_value) <= self._MAX_FRAGMENT
+                for a, b in zip(literals, literals[1:])
+            )
+            if short_pair:
+                yield self.finding(
+                    ctx,
+                    tokens[index],
+                    f"{len(literals)} string literals concatenated "
+                    "back-to-back from short fragments (split-string "
+                    "reassembly)",
                 )
-                if short_pair:
-                    yield self.finding(
-                        ctx,
-                        statement[index],
-                        f"{len(literals)} string literals concatenated "
-                        "back-to-back from short fragments (split-string "
-                        "reassembly)",
-                    )
-                index = end + 1
 
 
 @register_rule
@@ -130,14 +88,15 @@ class FragmentConstant(Rule):
     description = "Const holds a tiny string fragment of a split literal"
 
     def scan(self, ctx: LintContext):
-        for name_token, value_token in iter_const_declarations(ctx):
-            value = value_token.string_value
-            if 0 < len(value) <= 2:
+        tokens = ctx.significant
+        for name, value in ctx.const_declarations:
+            text = tokens[value].string_value
+            if 0 < len(text) <= 2:
                 yield self.finding(
                     ctx,
-                    name_token,
-                    f"constant {name_token.text!r} holds the "
-                    f"{len(value)}-char fragment {value!r}",
+                    tokens[name],
+                    f"constant {tokens[name].text!r} holds the "
+                    f"{len(text)}-char fragment {text!r}",
                 )
 
 
@@ -155,9 +114,11 @@ class DummyStringConstant(Rule):
     description = "unused dummy string constant"
 
     def scan(self, ctx: LintContext):
-        for name_token, value_token in iter_const_declarations(ctx):
-            if len(value_token.string_value) < 3:
+        tokens = ctx.significant
+        for name, value in ctx.const_declarations:
+            if len(tokens[value].string_value) < 3:
                 continue  # fragments are the other rule's business
+            name_token = tokens[name]
             if ctx.use_counts.get(name_token.text.lower(), 0) == 0:
                 yield self.finding(
                     ctx,
@@ -184,12 +145,14 @@ class CarvedLiteral(Rule):
 
     def scan(self, ctx: LintContext):
         tokens = ctx.significant
-        for index, token in enumerate(tokens[: len(tokens) - 2]):
+        words = ctx.words
+        for index in ctx.positions(*self._CARVERS):
             if (
-                is_name(token, *self._CARVERS)
-                and is_punct(tokens[index + 1], "(")
+                index + 2 < len(tokens)
+                and words[index + 1] == "("
                 and tokens[index + 2].kind is TokenKind.STRING
             ):
+                token = tokens[index]
                 yield self.finding(
                     ctx,
                     token,

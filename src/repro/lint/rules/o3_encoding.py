@@ -10,12 +10,9 @@ marker removal.  Each emitted decoder family from the corpus obfuscator
 
 from __future__ import annotations
 
-from repro.lint.context import (
-    LintContext,
-    is_keyword,
-    is_name,
-    is_punct,
-)
+from bisect import bisect_left
+
+from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
 from repro.vba.tokens import Token, TokenKind
 
@@ -24,24 +21,23 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _B64_ALPHABET = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 )
+#: Words that make a ``Chr()`` argument computed, besides any operator.
+_COMPUTING_WORDS = frozenset(("xor", "and", "or", "not", "mod", "("))
 
 
-def _balanced_argument(tokens: list[Token], open_index: int) -> list[Token]:
-    """Tokens inside the parenthesis opened at ``open_index`` (exclusive)."""
+def _argument_end(words: list, open_index: int, end: int) -> int:
+    """Position of the ``)`` closing the parenthesis at ``open_index``, or
+    ``end`` when it stays open before ``end``."""
     depth = 0
-    body: list[Token] = []
-    for token in tokens[open_index:]:
-        if is_punct(token, "("):
+    for index in range(open_index, end):
+        word = words[index]
+        if word == "(":
             depth += 1
-            if depth == 1:
-                continue
-        elif is_punct(token, ")"):
+        elif word == ")":
             depth -= 1
             if depth == 0:
-                break
-        if depth >= 1:
-            body.append(token)
-    return body
+                return index
+    return end
 
 
 @register_rule
@@ -54,24 +50,34 @@ class ChrChain(Rule):
     description = "string assembled from a chain of Chr() character codes"
 
     def scan(self, ctx: LintContext):
-        for statement in ctx.statements:
-            first: Token | None = None
-            count = 0
-            for index, token in enumerate(statement[: len(statement) - 2]):
-                if (
-                    is_name(token, *_CHR_NAMES)
-                    and is_punct(statement[index + 1], "(")
-                    and statement[index + 2].kind is TokenKind.NUMBER
-                ):
-                    count += 1
-                    first = first or token
-            if count >= 3 and first is not None:
-                yield self.finding(
-                    ctx,
-                    first,
-                    f"chain of {count} Chr(<code>) calls assembles a hidden "
-                    "string",
-                )
+        tokens = ctx.significant
+        words = ctx.words
+        owner = ctx.statement_of
+        current = -1
+        first: Token | None = None
+        count = 0
+        for index in ctx.positions(*_CHR_NAMES):
+            number = owner[index]
+            if number != current:
+                if count >= 3:
+                    yield self._chain(ctx, first, count)
+                current, first, count = number, None, 0
+            if (
+                index + 2 < ctx.statement_bounds[number][1]
+                and words[index + 1] == "("
+                and tokens[index + 2].kind is TokenKind.NUMBER
+            ):
+                count += 1
+                first = first or tokens[index]
+        if count >= 3:
+            yield self._chain(ctx, first, count)
+
+    def _chain(self, ctx: LintContext, first: Token, count: int):
+        return self.finding(
+            ctx,
+            first,
+            f"chain of {count} Chr(<code>) calls assembles a hidden string",
+        )
 
 
 @register_rule
@@ -85,20 +91,20 @@ class NumericArray(Rule):
 
     def scan(self, ctx: LintContext):
         tokens = ctx.significant
-        for index, token in enumerate(tokens[: len(tokens) - 1]):
-            if not (is_name(token, "array") and is_punct(tokens[index + 1], "(")):
+        words = ctx.words
+        for index in ctx.index.get("array", ()):
+            if index + 1 >= len(tokens) or words[index + 1] != "(":
                 continue
-            body = _balanced_argument(tokens, index + 1)
-            if not body:
-                continue
-            numbers = sum(1 for t in body if t.kind is TokenKind.NUMBER)
-            separators = sum(1 for t in body if is_punct(t, ","))
+            close = _argument_end(words, index + 1, len(tokens))
+            body = range(index + 2, close)
+            numbers = sum(1 for i in body if tokens[i].kind is TokenKind.NUMBER)
+            separators = words[index + 2 : close].count(",")
             if numbers >= 4 and numbers == separators + 1 and len(body) == (
                 numbers + separators
             ):
                 yield self.finding(
                     ctx,
-                    token,
+                    tokens[index],
                     f"Array() of {numbers} plain numbers looks like encoded "
                     "payload bytes",
                 )
@@ -119,42 +125,43 @@ class DecodeLoop(Rule):
     description = "character-decode expression inside a loop"
 
     def scan(self, ctx: LintContext):
+        anchors = ctx.positions(*_CHR_NAMES)
+        if not anchors:
+            return
+        tokens = ctx.significant
+        words = ctx.words
         depth = 0
-        for statement in ctx.statements:
-            head = statement[0]
-            if is_keyword(head, "for", "do", "while"):
+        for start, end in ctx.statement_bounds:
+            head = words[start]
+            if head in ("for", "do", "while"):
                 depth += 1
                 continue
-            if is_keyword(head, "next", "loop", "wend"):
+            if head in ("next", "loop", "wend"):
                 depth = max(0, depth - 1)
                 continue
             if depth == 0:
                 continue
-            for index, token in enumerate(statement[: len(statement) - 1]):
-                if not (
-                    is_name(token, *_CHR_NAMES)
-                    and is_punct(statement[index + 1], "(")
-                ):
+            first = bisect_left(anchors, start)
+            for index in anchors[first : bisect_left(anchors, end - 1, first)]:
+                if words[index + 1] != "(":
                     continue
-                argument = _balanced_argument(statement, index + 1)
-                if self._is_computed(argument):
+                close = _argument_end(words, index + 1, end)
+                if self._is_computed(tokens, words, index + 2, close):
                     yield self.finding(
                         ctx,
-                        token,
+                        tokens[index],
                         "Chr() over a computed value inside a loop — "
                         "runtime string decoder",
                     )
                     break
 
     @staticmethod
-    def _is_computed(argument: list[Token]) -> bool:
-        if len(argument) <= 1:
+    def _is_computed(tokens: list[Token], words: list, start: int, end: int) -> bool:
+        if end - start <= 1:
             return False  # bare number / bare name is not a decode
         return any(
-            token.kind is TokenKind.OPERATOR
-            or is_keyword(token, "xor", "and", "or", "not", "mod")
-            or is_punct(token, "(")
-            for token in argument
+            tokens[index].kind is TokenKind.OPERATOR or words[index] in _COMPUTING_WORDS
+            for index in range(start, end)
         )
 
 
@@ -168,9 +175,9 @@ class HexPackedLiteral(Rule):
     description = "string literal packed as hexadecimal byte pairs"
 
     def scan(self, ctx: LintContext):
-        for token in ctx.significant:
-            if token.kind is not TokenKind.STRING:
-                continue
+        tokens = ctx.significant
+        for index in ctx.strings:
+            token = tokens[index]
             value = token.string_value
             if (
                 len(value) >= 8
@@ -195,9 +202,9 @@ class Base64ShapedLiteral(Rule):
     description = "string literal shaped like Base64 data"
 
     def scan(self, ctx: LintContext):
-        for token in ctx.significant:
-            if token.kind is not TokenKind.STRING:
-                continue
+        tokens = ctx.significant
+        for index in ctx.strings:
+            token = tokens[index]
             value = token.string_value
             stripped = value.rstrip("=")
             if len(value) - len(stripped) > 2:
@@ -232,20 +239,21 @@ class ReplaceMarkerDecode(Rule):
 
     def scan(self, ctx: LintContext):
         tokens = ctx.significant
-        for index, token in enumerate(tokens[: len(tokens) - 6]):
-            if not (is_name(token, "replace") and is_punct(tokens[index + 1], "(")):
-                continue
-            window = tokens[index + 2 : index + 7]
+        words = ctx.words
+        string = TokenKind.STRING
+        for index in ctx.index.get("replace", ()):
             if (
-                window[0].kind is TokenKind.STRING
-                and is_punct(window[1], ",")
-                and window[2].kind is TokenKind.STRING
-                and is_punct(window[3], ",")
-                and window[4].kind is TokenKind.STRING
+                index + 6 < len(tokens)
+                and words[index + 1] == "("
+                and tokens[index + 2].kind is string
+                and words[index + 3] == ","
+                and tokens[index + 4].kind is string
+                and words[index + 5] == ","
+                and tokens[index + 6].kind is string
             ):
                 yield self.finding(
                     ctx,
-                    token,
+                    tokens[index],
                     "Replace() over three string literals — marker-decode of "
                     "a constant",
                 )

@@ -9,9 +9,9 @@ stream without running anything.
 
 from __future__ import annotations
 
-from repro.lint.context import LintContext, is_keyword, is_operator
+from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import Token, TokenKind
+from repro.vba.tokens import TokenKind
 
 #: Entry points the Office host invokes directly — never dead code.
 _HOST_ENTRY_POINTS = frozenset(
@@ -31,63 +31,6 @@ _HOST_ENTRY_POINTS = frozenset(
 )
 
 
-def procedure_header(statement: list[Token]) -> tuple[str, Token] | None:
-    """Parse ``[visibility] [Static] Sub|Function name`` statement heads.
-
-    Returns ``(visibility, name_token)`` or ``None``.  ``Property``
-    procedures are skipped: accessors are invoked implicitly by reads and
-    writes, so a use count says nothing about their liveness.
-    """
-    index = 0
-    visibility = "public"
-    if index < len(statement) and is_keyword(
-        statement[index], "public", "private", "friend"
-    ):
-        visibility = statement[index].text.lower()
-        index += 1
-    if index < len(statement) and is_keyword(statement[index], "static"):
-        index += 1
-    if index >= len(statement) or not is_keyword(
-        statement[index], "sub", "function"
-    ):
-        return None
-    index += 1
-    if index >= len(statement) or statement[index].kind is not TokenKind.IDENTIFIER:
-        return None
-    return visibility, statement[index]
-
-
-def iter_dim_names(statement: list[Token]):
-    """Yield the name tokens declared by a ``Dim``/``Static`` statement."""
-    index = 0
-    if index < len(statement) and is_keyword(
-        statement[index], "public", "private", "global"
-    ):
-        index += 1
-    if index >= len(statement) or not is_keyword(statement[index], "dim", "static"):
-        return
-    index += 1
-    depth = 0
-    expecting_name = True
-    while index < len(statement):
-        token = statement[index]
-        if token.kind is TokenKind.PUNCT:
-            if token.text == "(":
-                depth += 1
-            elif token.text == ")":
-                depth = max(0, depth - 1)
-            elif token.text == "," and depth == 0:
-                expecting_name = True
-        elif is_keyword(token, "as"):
-            expecting_name = False
-        elif (
-            token.kind is TokenKind.IDENTIFIER and expecting_name and depth == 0
-        ):
-            yield token
-            expecting_name = False
-        index += 1
-
-
 @register_rule
 class DeadProcedure(Rule):
     """A ``Private`` procedure that no code in the module ever invokes.
@@ -104,15 +47,13 @@ class DeadProcedure(Rule):
     description = "private procedure is never invoked (dead junk code)"
 
     def scan(self, ctx: LintContext):
-        for statement in ctx.statements:
-            header = procedure_header(statement)
-            if header is None:
+        tokens = ctx.significant
+        for visibility, name in ctx.procedure_headers.values():
+            name_token = tokens[name]
+            lowered = name_token.text.lower()
+            if visibility != "private" or lowered in _HOST_ENTRY_POINTS:
                 continue
-            visibility, name_token = header
-            name = name_token.text.lower()
-            if visibility != "private" or name in _HOST_ENTRY_POINTS:
-                continue
-            if ctx.use_counts.get(name, 0) == 0:
+            if ctx.use_counts.get(lowered, 0) == 0:
                 yield self.finding(
                     ctx,
                     name_token,
@@ -130,15 +71,15 @@ class UnusedVariable(Rule):
     description = "declared variable is never used (dummy declaration)"
 
     def scan(self, ctx: LintContext):
-        for statement in ctx.statements:
-            for name_token in iter_dim_names(statement):
-                if ctx.use_counts.get(name_token.text.lower(), 0) == 0:
-                    yield self.finding(
-                        ctx,
-                        name_token,
-                        f"variable {name_token.text!r} is declared but never "
-                        "used",
-                    )
+        tokens = ctx.significant
+        for name in ctx.dim_names:
+            name_token = tokens[name]
+            if ctx.use_counts.get(name_token.text.lower(), 0) == 0:
+                yield self.finding(
+                    ctx,
+                    name_token,
+                    f"variable {name_token.text!r} is declared but never used",
+                )
 
 
 @register_rule
@@ -159,20 +100,22 @@ class UnreachableCode(Rule):
     _CLOSERS = ("next", "loop", "wend")
 
     def scan(self, ctx: LintContext):
-        statements = ctx.statements
+        headers = ctx.procedure_headers
+        if not headers or "exit" not in ctx.index:
+            return  # no procedure to be in, or no Exit to shadow code
+        words = ctx.words
         in_procedure = False
         depth = 0
         pending_exit = False
-        for statement in statements:
-            head = statement[0]
-            if procedure_header(statement) is not None:
+        for number, (start, end) in enumerate(ctx.statement_bounds):
+            head = words[start]
+            second = words[start + 1] if end - start > 1 else None
+            if number in headers:
                 in_procedure = True
                 depth = 0
                 pending_exit = False
                 continue
-            if is_keyword(head, "end") and len(statement) > 1 and is_keyword(
-                statement[1], "sub", "function"
-            ):
+            if head == "end" and second in ("sub", "function"):
                 in_procedure = False
                 pending_exit = False
                 continue
@@ -181,28 +124,21 @@ class UnreachableCode(Rule):
             if pending_exit:
                 yield self.finding(
                     ctx,
-                    head,
+                    ctx.significant[start],
                     "statement is unreachable: an unconditional Exit "
                     "precedes it",
                 )
                 pending_exit = False
                 continue
-            if is_keyword(head, *self._OPENERS):
+            if head in self._OPENERS:
                 depth += 1
-            elif is_keyword(head, *self._CLOSERS):
+            elif head in self._CLOSERS:
                 depth = max(0, depth - 1)
-            elif is_keyword(head, "if") and is_keyword(statement[-1], "then"):
+            elif head == "if" and words[end - 1] == "then":
                 depth += 1  # block If ... Then
-            elif is_keyword(head, "end") and len(statement) > 1 and is_keyword(
-                statement[1], "if", "select", "with"
-            ):
+            elif head == "end" and second in ("if", "select", "with"):
                 depth = max(0, depth - 1)
-            elif (
-                depth == 0
-                and is_keyword(head, "exit")
-                and len(statement) > 1
-                and is_keyword(statement[1], "sub", "function")
-            ):
+            elif depth == 0 and head == "exit" and second in ("sub", "function"):
                 pending_exit = True
 
 
@@ -215,31 +151,38 @@ class NoOpArithmetic(Rule):
     severity = "info"
     description = "no-op arithmetic padding"
 
+    _IDENTITIES = {"+": "0", "-": "0", "*": "1", "/": "1", "\\": "1", "^": "1"}
+
     def scan(self, ctx: LintContext):
-        for statement in ctx.statements:
+        tokens = ctx.significant
+        words = ctx.words
+        bounds = ctx.statement_bounds
+        owner = ctx.statement_of
+        identifier = TokenKind.IDENTIFIER
+        for index in ctx.index.get("=", ()):
+            start, end = bounds[owner[index]]
             if (
-                len(statement) == 3
-                and statement[0].kind is TokenKind.IDENTIFIER
-                and is_operator(statement[1], "=")
-                and statement[2].kind is TokenKind.IDENTIFIER
-                and statement[0].text.lower() == statement[2].text.lower()
+                end - start == 3
+                and index == start + 1
+                and tokens[start].kind is identifier
+                and tokens[start + 2].kind is identifier
+                and tokens[start].text.lower() == tokens[start + 2].text.lower()
             ):
                 yield self.finding(
                     ctx,
-                    statement[0],
-                    f"self-assignment {statement[0].text!r} = "
-                    f"{statement[2].text!r} has no effect",
+                    tokens[start],
+                    f"self-assignment {tokens[start].text!r} = "
+                    f"{tokens[start + 2].text!r} has no effect",
                 )
-                continue
-            for index, token in enumerate(statement[: len(statement) - 1]):
-                follower = statement[index + 1]
-                if follower.kind is not TokenKind.NUMBER:
-                    continue
-                if is_operator(token, "+", "-") and follower.text == "0":
-                    yield self.finding(
-                        ctx, token, f"'{token.text} 0' is a no-op"
-                    )
-                elif is_operator(token, "*", "/", "\\", "^") and follower.text == "1":
-                    yield self.finding(
-                        ctx, token, f"'{token.text} 1' is a no-op"
-                    )
+        for index in ctx.positions(*self._IDENTITIES):
+            follower = index + 1
+            if (
+                follower < len(tokens)
+                and owner[follower] == owner[index]
+                and tokens[follower].kind is TokenKind.NUMBER
+                and tokens[follower].text == self._IDENTITIES[words[index]]
+            ):
+                token = tokens[index]
+                yield self.finding(
+                    ctx, token, f"'{token.text} {tokens[follower].text}' is a no-op"
+                )

@@ -124,10 +124,20 @@ def unparse_statement(statement: ast.Statement, depth: int) -> str:
     if isinstance(statement, ast.ExitStmt):
         return f"{pad}Exit {statement.kind.capitalize()}"
     if isinstance(statement, ast.CallStmt):
+        # A statement-position call takes its arguments without parentheses
+        # (``obj.Run "calc", 0``); VBA rejects ``obj.Run("calc", 0)`` without
+        # ``Call``.  A first argument that opens with ``(`` would parse as the
+        # whole argument list, so that one keeps the ``Call`` form.
         call = statement.call
-        if isinstance(call, ast.Call) and call.args:
+        if call.args:
             args = ", ".join(unparse_expression(a) for a in call.args)
-            return f"{pad}{call.name} {args}"
+            if isinstance(call, ast.Call):
+                head = call.name
+            else:
+                head = f"{unparse_expression(call.base)}.{call.member}"
+            if args.startswith("("):
+                return f"{pad}Call {head}({args})"
+            return f"{pad}{head} {args}"
         return f"{pad}{unparse_expression(call)}"
     if isinstance(statement, ast.NoOpStmt):
         # The parser preserves the skipped statement's token text verbatim.

@@ -160,3 +160,46 @@ class TestHashFeed:
         a.blacklist_macro("x")
         b.blacklist_macro("x")
         assert a.scan(["x"]).flagged_by == b.scan(["x"]).flagged_by
+
+
+def per_vendor_report(scanner: VirusTotalSim, macro_texts: list[str]):
+    """``VirusTotalSim.scan`` spelled out through ``AVVendor.scan``."""
+    digests = [scanner.macro_hash(text) for text in macro_texts]
+    blacklisted = [d for d in digests if d in scanner._hash_feed]
+    return [
+        vendor.name
+        for vendor in scanner.vendors
+        if vendor.scan_document(macro_texts)
+        or any(scanner._vendor_subscribes(vendor, d) for d in blacklisted)
+    ]
+
+
+class TestOneSignaturePass:
+    """The fleet scan matches each signature once per text; its report must
+    equal every vendor scanning on its own."""
+
+    def test_report_equals_per_vendor_scans(self):
+        corpus = CorpusBuilder(paper_profile().scaled(0.03), seed=11).build()
+        scanner = VirusTotalSim()
+        documents = random.Random(5).sample(list(corpus.documents), 24)
+        for document in documents[::3]:
+            scanner.blacklist_macro(document.macro_sources[0])
+        flagged_some = blacklisted_some = 0
+        for document in documents:
+            report = scanner.scan(document.macro_sources)
+            want = per_vendor_report(scanner, document.macro_sources)
+            assert report.flagged_by == want
+            assert report.detections == len(want)
+            assert report.total_vendors == len(scanner.vendors)
+            flagged_some += bool(want)
+            blacklisted_some += any(
+                scanner.macro_hash(text) in scanner._hash_feed
+                for text in document.macro_sources
+            )
+        assert flagged_some and blacklisted_some
+
+    def test_vendors_sharing_custom_signatures(self):
+        fleet = build_vendor_fleet(count=12, seed=3)
+        scanner = VirusTotalSim(fleet + fleet[:3])
+        for text in (PLAIN_DOWNLOADER, BENIGN_MACRO, ""):
+            assert scanner.scan([text]).flagged_by == per_vendor_report(scanner, [text])

@@ -172,3 +172,54 @@ class TestExpressionRendering:
         source = "Function F(x)\n    F = 2 ^ 3 ^ 2\nEnd Function\n"
         rendered = normalize(source)
         assert run_function(rendered, "F", 0) == 512
+
+
+class TestStatementPositionCalls:
+    """A member call in statement position takes bare arguments: VBA
+    rejects ``obj.Run("calc", 0)`` without ``Call``."""
+
+    @staticmethod
+    def round_trip(statement: str) -> str:
+        module = parse_module(f"Sub S()\n    {statement}\nEnd Sub\n")
+        rendered = unparse_module(module)
+        assert parse_module(rendered) == module
+        return rendered.splitlines()[1].strip()
+
+    @pytest.mark.parametrize(
+        "statement, expected",
+        [
+            ('doc.SaveAs "out.doc"', 'doc.SaveAs "out.doc"'),
+            ('doc.SaveAs "out.doc", 1', 'doc.SaveAs "out.doc", 1'),
+            (
+                'CreateObject("WScript.Shell").Run "calc", 0, False',
+                'CreateObject("WScript.Shell").Run "calc", 0, False',
+            ),
+            ("o.M (1)", "o.M 1"),
+            ("o.M -1, x & y", "o.M -1, x & y"),
+        ],
+    )
+    def test_member_call_arguments_are_bare(self, statement, expected):
+        assert self.round_trip(statement) == expected
+
+    @pytest.mark.parametrize(
+        "statement, expected",
+        [
+            ("Call o.M(1)", "o.M 1"),
+            ("Call o.M(1, 2)", "o.M 1, 2"),
+            ('Call CreateObject("x").N.M(a, "b", 3)', 'CreateObject("x").N.M a, "b", 3'),
+            ("Call o.M()", "o.M()"),
+            ("Call o.M", "o.M"),
+        ],
+    )
+    def test_call_keyword_form(self, statement, expected):
+        assert self.round_trip(statement) == expected
+
+    @pytest.mark.parametrize(
+        "statement, expected",
+        [
+            ("Call o.M((1 + 2) * 3, 4)", "Call o.M((1 + 2) * 3, 4)"),
+            ("Call F((a + b) * c)", "Call F((a + b) * c)"),
+        ],
+    )
+    def test_parenthesized_first_argument_keeps_call(self, statement, expected):
+        assert self.round_trip(statement) == expected
