@@ -341,7 +341,7 @@ class RecoverStage(MacroStage):
                 macro.source,
                 self.sa_budget,
                 self._metrics,
-                tokens=analysis.tokens if analysis is not None else None,
+                tokens=analysis.table if analysis is not None else None,
             )
             values = recovery.values()
             signature_hits: tuple[str, ...] = ()

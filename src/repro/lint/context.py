@@ -2,8 +2,8 @@
 
 Rules all walk the same :class:`~repro.vba.analyzer.MacroAnalysis`
 substrate.  The :class:`LintContext` builds, once per macro and in one
-pass over the tokens, the views they jump through instead of re-walking
-the stream:
+pass over the lexer's token columns, the views they jump through instead
+of re-walking the stream:
 
 * ``significant`` — the tokens with layout, comments and EOF dropped;
 * ``words`` — a column parallel to ``significant``: the lower-cased,
@@ -102,7 +102,13 @@ class LintContext:
     def _columns(
         self,
     ) -> tuple[list[Token], list[str | None], list[tuple[int, int]], list[int]]:
-        """One pass: significant tokens, words, statement bounds, strings.
+        """One pass over the lexer's columns: significant tokens, words,
+        statement bounds, strings.
+
+        Names take their word from the table's ``words`` column;
+        punctuation and operators their text.  The ``significant`` tokens
+        are the table's shared code-position views (the parser reads the
+        same objects), so the context makes no token of its own.
 
         Statements break on newlines and on ``:`` separators outside
         parentheses (``DoEvents: i = i + 1`` is two statements); the
@@ -110,6 +116,8 @@ class LintContext:
         already spliced by the lexer, so a continued statement arrives as
         one group.
         """
+        table = self.analysis.table
+        views = table.code_tokens()
         significant: list[Token] = []
         words: list[str | None] = []
         bounds: list[tuple[int, int]] = []
@@ -123,16 +131,17 @@ class LintContext:
         keyword = TokenKind.KEYWORD
         operator = TokenKind.OPERATOR
         string = TokenKind.STRING
-        layout = (TokenKind.LINE_CONTINUATION, TokenKind.COMMENT, TokenKind.EOF)
-        spelled: dict[str, str] = {}
+        layout = (TokenKind.LINE_CONTINUATION, TokenKind.COMMENT)
+        eof = TokenKind.EOF
+        view = -1  # position in ``views`` of the current code token
         start = depth = 0
         # Branches in order of token frequency in real macros.
-        for token in self.analysis.tokens:
-            kind = token.kind
+        for kind, text, word in zip(table.kinds, table.texts, table.words):
             if kind is whitespace:
                 continue
             if kind is punct:
-                word = token.text
+                view += 1
+                word = text
                 if word == "(":
                     depth += 1
                 elif word == ")":
@@ -144,30 +153,26 @@ class LintContext:
                         bounds.append((start, end))
                     start = end + 1
             elif kind is identifier or kind is keyword:
-                # One word object per distinct spelling: a name recurs
-                # throughout a macro, and the column keeps what it holds.
-                text = token.text
-                word = spelled.get(text)
-                if word is None:
-                    word = text.lower()
-                    if word[-1] in _TYPE_SUFFIXES:
-                        word = word[:-1]
-                    spelled[text] = word
+                view += 1
             elif kind is newline:
+                view += 1
                 end = len(significant)
                 if end > start:
                     bounds.append((start, end))
                 start = end
                 continue
             elif kind is operator:
-                word = token.text
+                view += 1
+                word = text
             elif kind in layout:
                 continue
+            elif kind is eof:
+                break
             else:
+                view += 1
                 if kind is string:
                     strings.append(len(significant))
-                word = None
-            keep(token)
+            keep(views[view])
             word_of(word)
         end = len(significant)
         if end > start:

@@ -109,7 +109,7 @@ class BrokenCodeShadow(Rule):
         if not exit_lines:
             return
         try:
-            parse_module(ctx.analysis.source, tokens=ctx.analysis.tokens)
+            parse_module(ctx.analysis.source, tokens=ctx.analysis.table)
             return  # everything parses: nothing broken after the exit
         except VBAParseError as error:
             for exit_line in exit_lines:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 
 from repro.obfuscation.base import ObfuscationContext
-from repro.vba.analyzer import analyze
-from repro.vba.tokens import TokenKind
+from repro.vba.lexer import lex
+from repro.vba.tokens import TokenKind, string_value
 
 _SUB_BODY_PATTERN = re.compile(
     r"(Sub\s+\w+\s*\([^)]*\)\s*\n)(.*?)(End Sub)", re.DOTALL | re.IGNORECASE
@@ -56,13 +56,14 @@ class StringHider:
         self._min_length = min_length
 
     def apply(self, source: str, context: ObfuscationContext) -> str:
-        analysis = analyze(source)
+        table = lex(source)
+        string = TokenKind.STRING
         parts: list[str] = []
         control_index = 1
-        for token in analysis.tokens:
+        for kind, text in zip(table.kinds, table.texts):
             eligible = (
-                token.kind is TokenKind.STRING
-                and len(token.string_value) >= self._min_length
+                kind is string
+                and len(string_value(text)) >= self._min_length
                 and context.rng.random() < self._probability
             )
             if eligible:
@@ -70,10 +71,10 @@ class StringHider:
                 template = context.rng.choice(_STORAGE_TEMPLATES)
                 expression = template.format(name=name, index=control_index)
                 control_index += 1
-                context.document_variables[expression] = token.string_value
+                context.document_variables[expression] = string_value(text)
                 parts.append(expression)
             else:
-                parts.append(token.text)
+                parts.append(text)
         return "".join(parts)
 
 

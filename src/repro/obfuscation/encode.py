@@ -18,8 +18,8 @@ from __future__ import annotations
 import base64
 
 from repro.obfuscation.base import ObfuscationContext
-from repro.vba.analyzer import analyze
-from repro.vba.tokens import TokenKind
+from repro.vba.lexer import lex
+from repro.vba.tokens import TokenKind, string_value
 from repro.vba.writer import CodeWriter, quote_vba_string, wrap_vba_expression
 
 _B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
@@ -49,21 +49,21 @@ class StringEncoder:
         self._probability = encode_probability
 
     def apply(self, source: str, context: ObfuscationContext) -> str:
-        analysis = analyze(source)
+        table = lex(source)
+        string = TokenKind.STRING
         helpers = _HelperRegistry(context)
         parts: list[str] = []
-        for token in analysis.tokens:
+        for kind, text in zip(table.kinds, table.texts):
+            value = string_value(text) if kind is string else ""
             value_eligible = (
-                token.kind is TokenKind.STRING
-                and len(token.string_value) >= self._min_length
-                and _is_encodable(token.string_value)
+                kind is string
+                and len(value) >= self._min_length
+                and _is_encodable(value)
                 and context.rng.random() < self._probability
             )
             if value_eligible:
                 strategy = context.rng.choice(self._strategies)
-                encoded = _encode_literal(
-                    token.string_value, strategy, context, helpers
-                )
+                encoded = _encode_literal(value, strategy, context, helpers)
                 # Guard against ``&`` + identifier fusing into an ``&H…``
                 # radix literal when the literal being replaced was tightly
                 # joined (``"ab"&"cd"`` → ``...)&hex...``).
@@ -71,7 +71,7 @@ class StringEncoder:
                     encoded = " " + encoded
                 parts.append(encoded)
             else:
-                parts.append(token.text)
+                parts.append(text)
         return "".join(parts) + helpers.render()
 
 

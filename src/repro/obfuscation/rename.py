@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.obfuscation.base import ObfuscationContext
 from repro.vba.analyzer import analyze
+from repro.vba.lexer import TokenTable, lex
 from repro.vba.tokens import TokenKind
 
 
@@ -39,7 +40,7 @@ class RandomRenamer:
         mapping = {
             name.lower(): context.fresh_name() for name in targets
         }
-        return rename_identifiers(source, mapping)
+        return _rename(analysis.table, mapping)
 
 
 def rename_identifiers(source: str, mapping: dict[str, str]) -> str:
@@ -48,30 +49,22 @@ def rename_identifiers(source: str, mapping: dict[str, str]) -> str:
     Identifiers reached through member access (preceded by ``.``) are never
     renamed; everything else matching the mapping (case-insensitively) is.
     """
-    analysis = analyze(source)
-    tokens = analysis.tokens
+    return _rename(lex(source), mapping)
+
+
+def _rename(table: TokenTable, mapping: dict[str, str]) -> str:
+    identifier = TokenKind.IDENTIFIER
+    layout = (TokenKind.WHITESPACE, TokenKind.LINE_CONTINUATION)
     parts: list[str] = []
-    for index, token in enumerate(tokens):
-        if token.kind is TokenKind.IDENTIFIER:
-            prev = _previous_significant(tokens, index)
-            is_member = (
-                prev is not None
-                and prev.kind is TokenKind.PUNCT
-                and prev.text == "."
-            )
-            replacement = mapping.get(token.text.lower())
-            if replacement is not None and not is_member:
+    after_dot = False  # the previous token, layout aside, is ``.``
+    for kind, text in zip(table.kinds, table.texts):
+        if kind is identifier and not after_dot:
+            replacement = mapping.get(text.lower())
+            if replacement is not None:
                 parts.append(replacement)
+                after_dot = False
                 continue
-        parts.append(token.text)
+        parts.append(text)
+        if kind not in layout:
+            after_dot = text == "."
     return "".join(parts)
-
-
-def _previous_significant(tokens, index: int):
-    for back in range(index - 1, -1, -1):
-        if tokens[back].kind not in (
-            TokenKind.WHITESPACE,
-            TokenKind.LINE_CONTINUATION,
-        ):
-            return tokens[back]
-    return None

@@ -13,8 +13,8 @@ expression yields the original string (property-tested via
 from __future__ import annotations
 
 from repro.obfuscation.base import ObfuscationContext
-from repro.vba.analyzer import analyze
-from repro.vba.tokens import TokenKind
+from repro.vba.lexer import lex
+from repro.vba.tokens import TokenKind, string_value
 from repro.vba.writer import quote_vba_string, wrap_vba_expression
 
 
@@ -38,17 +38,17 @@ class StringSplitter:
         self._hoist_probability = hoist_const_probability
 
     def apply(self, source: str, context: ObfuscationContext) -> str:
-        analysis = analyze(source)
+        table = lex(source)
+        string = TokenKind.STRING
         consts: list[tuple[str, str]] = []
         parts: list[str] = []
-        for token in analysis.tokens:
-            if (
-                token.kind is TokenKind.STRING
-                and len(token.string_value) >= self._min_length
-            ):
-                parts.append(self._split_literal(token.string_value, context, consts))
-            else:
-                parts.append(token.text)
+        for kind, text in zip(table.kinds, table.texts):
+            if kind is string:
+                value = string_value(text)
+                if len(value) >= self._min_length:
+                    parts.append(self._split_literal(value, context, consts))
+                    continue
+            parts.append(text)
         body = "".join(parts)
         if not consts:
             return body
@@ -136,8 +136,9 @@ def split_expression_chunks(expression: str) -> list[str]:
     Test helper: the inverse check joins these and compares to the original
     value (const-hoisted chunks are resolved by the evaluator module instead).
     """
-    chunks: list[str] = []
-    for token in analyze(expression).tokens:
-        if token.kind is TokenKind.STRING:
-            chunks.append(token.string_value)
-    return chunks
+    table = lex(expression)
+    return [
+        string_value(text)
+        for kind, text in zip(table.kinds, table.texts)
+        if kind is TokenKind.STRING
+    ]

@@ -773,9 +773,10 @@ def recover_strings(
     recursion limits all degrade into the returned
     :class:`~repro.sa.records.StringRecovery` rather than raising.
 
-    ``tokens`` optionally carries an already-lexed token stream for
-    ``source`` (the engine's analyze stage keeps one), skipping the
-    re-tokenization that otherwise dominates the pass.
+    ``tokens`` optionally carries ``source``'s already-lexed
+    :class:`~repro.vba.lexer.TokenTable` (the engine's analyze stage keeps
+    one), skipping the re-tokenization that otherwise dominates the pass;
+    the parse reads the table's shared views.
     """
     budget = budget or DEFAULT_SA_BUDGET
     try:

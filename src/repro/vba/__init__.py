@@ -1,7 +1,7 @@
 """VBA language substrate: lexer, structural analyzer, built-in catalogs."""
 
 from repro.vba.analyzer import CallSite, MacroAnalysis, analyze
-from repro.vba.lexer import significant_tokens, tokenize
+from repro.vba.lexer import TokenTable, lex, significant_tokens, tokenize
 from repro.vba.tokens import Token, TokenKind, VBA_KEYWORDS
 from repro.vba.writer import CodeWriter, chunk_string, quote_vba_string
 
@@ -11,9 +11,11 @@ __all__ = [
     "MacroAnalysis",
     "Token",
     "TokenKind",
+    "TokenTable",
     "VBA_KEYWORDS",
     "analyze",
     "chunk_string",
+    "lex",
     "quote_vba_string",
     "significant_tokens",
     "tokenize",

@@ -12,11 +12,15 @@
 * string literals, comments, and the paper's notion of "words" (units
   delimited by whitespace and VBA symbols, following Likarish et al.).
 
+The analysis walks the lexer's :class:`~repro.vba.lexer.TokenTable`
+columns and builds no :class:`~repro.vba.tokens.Token` objects;
+``MacroAnalysis.tokens`` makes them on first access.
+
 On top of the structural analysis sits :class:`AnalysisSummary` — a small,
 picklable, array-backed digest of everything the feature extractors need
 (token-kind counts, word/string/identifier length arrays with exact integer
 sums, a char-class histogram, Shannon entropy computed once).  It is built
-in a single token walk plus one vectorized character pass, so feature
+in a single column walk plus one vectorized character pass, so feature
 kernels never re-walk tokens or re-scan the source.  All of its reductions
 are segment-local (per macro), which is what makes the batch feature
 kernels row-deterministic: a macro's feature row is bit-identical whether
@@ -28,7 +32,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -40,8 +44,8 @@ from repro.vba.functions import (
     TEXT_FUNCTIONS,
     TYPE_CONVERSION_FUNCTIONS,
 )
-from repro.vba.lexer import tokenize
-from repro.vba.tokens import STRING_CONCAT_OPERATORS, Token, TokenKind
+from repro.vba.lexer import TokenTable, lex
+from repro.vba.tokens import STRING_CONCAT_OPERATORS, Token, TokenKind, string_value
 
 # Keywords that introduce a procedure whose following identifier is the
 # procedure name.
@@ -96,7 +100,9 @@ class MacroAnalysis:
     """The result of analyzing one VBA module's source code."""
 
     source: str
-    tokens: list[Token] = field(default_factory=list)
+    table: TokenTable = field(
+        default_factory=lambda: TokenTable([], [], [], [], [])
+    )
     declared_identifiers: list[str] = field(default_factory=list)
     identifier_uses: list[str] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)
@@ -106,24 +112,30 @@ class MacroAnalysis:
     #: lazily-built array-backed digest for the batch feature kernels
     summary: "AnalysisSummary | None" = field(default=None, compare=False)
 
+    @property
+    def tokens(self) -> list[Token]:
+        """Every token as a :class:`Token` view, built on first access."""
+        return self.table.tokens()
+
     # ------------------------------------------------------------------
     # Derived text measures used by the feature extractors.
 
     @property
     def code_without_comments(self) -> str:
         """The source with comment token text removed (other text intact)."""
-        parts = [
-            token.text
-            for token in self.tokens
-            if token.kind is not TokenKind.COMMENT
-        ]
-        return "".join(parts)
+        comment = TokenKind.COMMENT
+        table = self.table
+        return "".join(
+            text for kind, text in zip(table.kinds, table.texts) if kind is not comment
+        )
 
     @property
     def comment_text(self) -> str:
         """All comment text concatenated (markers included)."""
+        comment = TokenKind.COMMENT
+        table = self.table
         return "".join(
-            token.text for token in self.tokens if token.kind is TokenKind.COMMENT
+            text for kind, text in zip(table.kinds, table.texts) if kind is comment
         )
 
     @property
@@ -137,10 +149,12 @@ class MacroAnalysis:
 
     def operator_count(self, operators: frozenset[str]) -> int:
         """Count OPERATOR tokens whose text is in ``operators``."""
+        operator = TokenKind.OPERATOR
+        table = self.table
         return sum(
             1
-            for token in self.tokens
-            if token.kind is TokenKind.OPERATOR and token.text in operators
+            for kind, text in zip(table.kinds, table.texts)
+            if kind is operator and text in operators
         )
 
     def called_builtin_fraction(self, catalog: frozenset[str]) -> float:
@@ -215,8 +229,7 @@ class AnalysisSummary:
 
 def analyze(source: str) -> MacroAnalysis:
     """Run the full structural analysis over one module's source code."""
-    analysis = MacroAnalysis(source=source)
-    analysis.tokens = tokenize(source)
+    analysis = MacroAnalysis(source=source, table=lex(source))
     _collect(analysis)
     return analysis
 
@@ -224,7 +237,7 @@ def analyze(source: str) -> MacroAnalysis:
 def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     """Build the array-backed summary from one finished analysis.
 
-    One walk over the token list, one vectorized pass over the characters,
+    One walk over the token columns, one vectorized pass over the characters,
     one regex pass for words and one for procedure bodies — after this the
     feature extractors never look at the analysis again.
     """
@@ -236,22 +249,23 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
     )
     backslash_chars = int(char_histogram[92])
 
-    tokens = analysis.tokens
-    kinds = [token.kind for token in tokens]
+    table = analysis.table
+    kinds = table.kinds
+    texts = table.texts
     token_kind_counts = np.array(
         [kinds.count(kind) for kind in TokenKind], dtype=np.int64
     )
+    comment = TokenKind.COMMENT
+    string = TokenKind.STRING
     comment_parts: list[str] = []
     string_token_chars = 0
-    string_op_count = 0
-    for token in tokens:
-        kind = token.kind
-        if kind is TokenKind.COMMENT:
-            comment_parts.append(token.text)
-        elif kind is TokenKind.STRING:
-            string_token_chars += len(token.text)
-        elif kind is TokenKind.OPERATOR and token.text in STRING_CONCAT_OPERATORS:
-            string_op_count += 1
+    for kind, text in zip(kinds, texts):
+        if kind is comment:
+            comment_parts.append(text)
+        elif kind is string:
+            string_token_chars += len(text)
+    # ``&``, ``+`` and ``=`` lex only as OPERATOR tokens.
+    string_op_count = sum(map(texts.count, STRING_CONCAT_OPERATORS))
     comment_text = "".join(comment_parts)
     comment_chars = len(comment_text)
 
@@ -300,7 +314,7 @@ def summarize(analysis: MacroAnalysis) -> AnalysisSummary:
             if lowered in catalog:
                 catalog_hits[column] += 1
 
-    argument_lengths = _argument_lengths(tokens)
+    argument_lengths = _argument_lengths(table)
 
     body_count = 0
     body_total_chars = 0
@@ -385,52 +399,59 @@ def _is_human_readable(word: str) -> bool:
     return True
 
 
-def _argument_lengths(all_tokens: list[Token]) -> list[int]:
+def _argument_lengths(table: TokenTable) -> list[int]:
     """Character lengths of parenthesized call arguments (J9).
 
     An argument list is everything between a ``(`` that follows an
     identifier and its matching ``)`` — or the end of the module when the
-    parenthesis is never closed.  One pass matches parentheses with a
-    stack and builds prefix sums of token-text lengths, so each call site
-    costs one subtraction however long or unbalanced the module is.
+    parenthesis is never closed — with whitespace and newlines not
+    counted.  One pass matches parentheses with a stack and builds prefix
+    sums of token-text lengths, so each call site costs one subtraction
+    however long or unbalanced the module is.
     """
-    tokens = [
-        t
-        for t in all_tokens
-        if t.kind
-        not in (TokenKind.WHITESPACE, TokenKind.NEWLINE, TokenKind.EOF)
-    ]
-    offsets = [0, *accumulate(len(token.text) for token in tokens)]
+    skip = (TokenKind.WHITESPACE, TokenKind.NEWLINE, TokenKind.EOF)
+    kept = [kind not in skip for kind in table.kinds]
+    kinds = list(compress(table.kinds, kept))
+    texts = list(compress(table.texts, kept))
+    offsets = [0, *accumulate(map(len, texts))]
+    identifier = TokenKind.IDENTIFIER
     closing: dict[int, int] = {}
     unclosed: list[int] = []
     call_opens: list[int] = []
-    for index, token in enumerate(tokens):
-        if token.kind is not TokenKind.PUNCT:
-            continue
-        if token.text == "(":
+    # ``(`` and ``)`` lex only as PUNCT tokens.
+    for index, text in enumerate(texts):
+        if text == "(":
             unclosed.append(index)
-            if index and tokens[index - 1].kind is TokenKind.IDENTIFIER:
+            if index and kinds[index - 1] is identifier:
                 call_opens.append(index)
-        elif token.text == ")" and unclosed:
+        elif text == ")" and unclosed:
             closing[unclosed.pop()] = index
-    end = len(tokens)
+    end = len(texts)
     return [offsets[closing.get(open_, end)] - offsets[open_ + 1] for open_ in call_opens]
 
 
 # ----------------------------------------------------------------------
+# The structural walk.  It reads the table's columns with whitespace,
+# continuations and EOF dropped; a punctuation text (``(``, ``.``, ``:``)
+# is only ever a PUNCT token, so those tests compare texts alone.
 
 
 def _collect(analysis: MacroAnalysis) -> None:
-    tokens = [
-        token
-        for token in analysis.tokens
-        if token.kind
-        not in (
-            TokenKind.WHITESPACE,
-            TokenKind.LINE_CONTINUATION,
-            TokenKind.EOF,
-        )
-    ]
+    table = analysis.table
+    skip = (TokenKind.WHITESPACE, TokenKind.LINE_CONTINUATION, TokenKind.EOF)
+    kept = [kind not in skip for kind in table.kinds]
+    kinds = list(compress(table.kinds, kept))
+    texts = list(compress(table.texts, kept))
+    words = list(compress(table.words, kept))
+    lines = list(compress(table.lines, kept))
+    count = len(kinds)
+    newline = TokenKind.NEWLINE
+    punct = TokenKind.PUNCT
+    comment = TokenKind.COMMENT
+    string = TokenKind.STRING
+    keyword_kind = TokenKind.KEYWORD
+    identifier = TokenKind.IDENTIFIER
+    builtins = ALL_CATEGORIZED_FUNCTIONS
     declared: list[str] = []
     declared_seen: set[str] = set()
     uses: list[str] = []
@@ -447,80 +468,75 @@ def _collect(analysis: MacroAnalysis) -> None:
 
     index = 0
     at_statement_start = True
-    while index < len(tokens):
-        token = tokens[index]
+    while index < count:
+        kind = kinds[index]
 
-        if token.kind is TokenKind.NEWLINE or (
-            token.kind is TokenKind.PUNCT and token.text == ":"
-        ):
+        if kind is newline:
             at_statement_start = True
             index += 1
             continue
 
-        if token.kind is TokenKind.COMMENT:
-            comments.append(token.text)
+        if kind is punct:
+            at_statement_start = texts[index] == ":"
             index += 1
             continue
 
-        if token.kind is TokenKind.STRING:
-            strings.append(token.string_value)
+        if kind is comment:
+            comments.append(texts[index])
+            index += 1
+            continue
+
+        if kind is string:
+            strings.append(string_value(texts[index]))
             at_statement_start = False
             index += 1
             continue
 
-        if token.kind is TokenKind.KEYWORD:
-            keyword = token.text.lower()
+        if kind is keyword_kind:
+            keyword = words[index]
             if keyword in _PROCEDURE_KEYWORDS:
                 index = _scan_procedure(
-                    tokens, index, keyword, declare, procedures, strings
+                    kinds, texts, words, index, keyword, declare, procedures, strings
                 )
                 at_statement_start = False
                 continue
             if keyword in _DECLARATION_KEYWORDS:
-                index = _scan_declaration(tokens, index, declare, strings)
+                index = _scan_declaration(kinds, texts, words, index, declare, strings)
                 at_statement_start = False
                 continue
             if keyword == "for":
-                index = _scan_for(tokens, index, declare)
+                index = _scan_for(kinds, texts, words, index, declare)
                 at_statement_start = False
                 continue
-            if keyword == "call" and _kind_at(tokens, index + 1) is TokenKind.IDENTIFIER:
-                callee = tokens[index + 1]
-                calls.append(CallSite(callee.text, callee.line, is_member=False))
-                uses.append(callee.text)
+            if keyword == "call" and index + 1 < count and kinds[index + 1] is identifier:
+                callee = texts[index + 1]
+                calls.append(CallSite(callee, lines[index + 1], is_member=False))
+                uses.append(callee)
                 index += 2
                 at_statement_start = False
                 continue
-            if (
-                keyword in ALL_CATEGORIZED_FUNCTIONS
-                and _kind_at(tokens, index + 1) is TokenKind.PUNCT
-                and tokens[index + 1].text == "("
-            ):
+            if keyword in builtins and index + 1 < count and texts[index + 1] == "(":
                 # Callable builtins that lex as keywords: CStr(), CLng(), …
                 calls.append(
                     CallSite(
-                        token.text, token.line, _is_member_access(tokens, index)
+                        texts[index],
+                        lines[index],
+                        index > 0 and texts[index - 1] == ".",
                     )
                 )
             at_statement_start = False
             index += 1
             continue
 
-        if token.kind is TokenKind.IDENTIFIER:
-            uses.append(token.text)
-            is_member = _is_member_access(tokens, index)
-            next_kind = _kind_at(tokens, index + 1)
-            next_text = tokens[index + 1].text if index + 1 < len(tokens) else ""
-            lowered = token.text.lower()
-            if next_kind is TokenKind.PUNCT and next_text == "(":
-                calls.append(CallSite(token.text, token.line, is_member))
-            elif (
-                at_statement_start
-                and not is_member
-                and lowered in ALL_CATEGORIZED_FUNCTIONS
-            ):
+        if kind is identifier:
+            text = texts[index]
+            uses.append(text)
+            is_member = index > 0 and texts[index - 1] == "."
+            if index + 1 < count and texts[index + 1] == "(":
+                calls.append(CallSite(text, lines[index], is_member))
+            elif at_statement_start and not is_member and text.lower() in builtins:
                 # Statement-style invocation: ``Shell program, 1``.
-                calls.append(CallSite(token.text, token.line, is_member=False))
+                calls.append(CallSite(text, lines[index], is_member=False))
             at_statement_start = False
             index += 1
             continue
@@ -536,21 +552,10 @@ def _collect(analysis: MacroAnalysis) -> None:
     analysis.procedure_names = procedures
 
 
-def _kind_at(tokens: list[Token], index: int) -> TokenKind | None:
-    if 0 <= index < len(tokens):
-        return tokens[index].kind
-    return None
-
-
-def _is_member_access(tokens: list[Token], index: int) -> bool:
-    if index == 0:
-        return False
-    prev = tokens[index - 1]
-    return prev.kind is TokenKind.PUNCT and prev.text == "."
-
-
 def _scan_procedure(
-    tokens: list[Token],
+    kinds: list[TokenKind],
+    texts: list[str],
+    words: list[str | None],
     index: int,
     keyword: str,
     declare,
@@ -561,97 +566,108 @@ def _scan_procedure(
 
     Returns the index to resume scanning from.
     """
+    count = len(kinds)
+    identifier = TokenKind.IDENTIFIER
     cursor = index + 1
-    if keyword == "property" and _kind_at(tokens, cursor) in (
-        TokenKind.KEYWORD,
-        TokenKind.IDENTIFIER,
+    if (
+        keyword == "property"
+        and cursor < count
+        and kinds[cursor] in (TokenKind.KEYWORD, identifier)
+        and texts[cursor].lower() in ("get", "let", "set")
     ):
-        accessor = tokens[cursor].text.lower()
-        if accessor in ("get", "let", "set"):
-            cursor += 1
-    if _kind_at(tokens, cursor) is not TokenKind.IDENTIFIER:
+        cursor += 1
+    if cursor >= count or kinds[cursor] is not identifier:
         # ``End Sub`` / ``Exit Function`` — nothing declared here.
         return index + 1
-    name_token = tokens[cursor]
-    declare(name_token.text)
-    procedures.append(name_token.text)
+    name = texts[cursor]
+    declare(name)
+    procedures.append(name)
     cursor += 1
     # Parameters: ``(ByVal a As String, Optional b)``.
-    if (
-        _kind_at(tokens, cursor) is TokenKind.PUNCT
-        and tokens[cursor].text == "("
-    ):
+    if cursor < count and texts[cursor] == "(":
         depth = 0
         expecting_name = True
-        while cursor < len(tokens):
-            token = tokens[cursor]
-            if token.kind is TokenKind.PUNCT and token.text == "(":
-                depth += 1
-            elif token.kind is TokenKind.PUNCT and token.text == ")":
-                depth -= 1
-                if depth == 0:
-                    cursor += 1
-                    break
-            elif token.kind is TokenKind.PUNCT and token.text == "," and depth == 1:
-                expecting_name = True
-            elif token.kind is TokenKind.KEYWORD:
-                lowered = token.text.lower()
-                if lowered == "as":
+        while cursor < count:
+            kind = kinds[cursor]
+            if kind is TokenKind.PUNCT:
+                text = texts[cursor]
+                if text == "(":
+                    depth += 1
+                elif text == ")":
+                    depth -= 1
+                    if depth == 0:
+                        cursor += 1
+                        break
+                elif text == "," and depth == 1:
+                    expecting_name = True
+            elif kind is TokenKind.KEYWORD:
+                if words[cursor] == "as":
                     expecting_name = False
                 # byval/byref/optional/paramarray keep us expecting a name.
-            elif token.kind is TokenKind.IDENTIFIER and expecting_name and depth == 1:
-                declare(token.text)
+            elif kind is identifier and expecting_name and depth == 1:
+                declare(texts[cursor])
                 expecting_name = False
-            elif token.kind is TokenKind.STRING:
-                strings.append(token.string_value)
+            elif kind is TokenKind.STRING:
+                strings.append(string_value(texts[cursor]))
             cursor += 1
     return cursor
 
 
 def _scan_declaration(
-    tokens: list[Token], index: int, declare, strings: list[str]
+    kinds: list[TokenKind],
+    texts: list[str],
+    words: list[str | None],
+    index: int,
+    declare,
+    strings: list[str],
 ) -> int:
     """Handle ``Dim a As X, b(10) As Y`` and friends on one logical line."""
+    count = len(kinds)
     cursor = index + 1
     expecting_name = True
     depth = 0
-    while cursor < len(tokens):
-        token = tokens[cursor]
-        if token.kind is TokenKind.NEWLINE:
+    while cursor < count:
+        kind = kinds[cursor]
+        if kind is TokenKind.NEWLINE:
             break
-        if token.kind is TokenKind.PUNCT:
-            if token.text == "(":
+        if kind is TokenKind.PUNCT:
+            text = texts[cursor]
+            if text == "(":
                 depth += 1
-            elif token.text == ")":
+            elif text == ")":
                 depth = max(0, depth - 1)
-            elif token.text == "," and depth == 0:
+            elif text == "," and depth == 0:
                 expecting_name = True
-            elif token.text == ":":
+            elif text == ":":
                 break
-        elif token.kind is TokenKind.OPERATOR and token.text == "=" and depth == 0:
+        elif kind is TokenKind.OPERATOR and texts[cursor] == "=" and depth == 0:
             # ``Const x = 5``: the initializer is an expression, stop naming.
             expecting_name = False
-        elif token.kind is TokenKind.KEYWORD:
-            if token.text.lower() == "as":
+        elif kind is TokenKind.KEYWORD:
+            if words[cursor] == "as":
                 expecting_name = False
-        elif token.kind is TokenKind.IDENTIFIER and expecting_name and depth == 0:
-            declare(token.text)
+        elif kind is TokenKind.IDENTIFIER and expecting_name and depth == 0:
+            declare(texts[cursor])
             expecting_name = False
-        elif token.kind is TokenKind.STRING:
-            strings.append(token.string_value)
+        elif kind is TokenKind.STRING:
+            strings.append(string_value(texts[cursor]))
         cursor += 1
     return cursor
 
 
-def _scan_for(tokens: list[Token], index: int, declare) -> int:
+def _scan_for(
+    kinds: list[TokenKind],
+    texts: list[str],
+    words: list[str | None],
+    index: int,
+    declare,
+) -> int:
     """Handle ``For i = ...`` and ``For Each cell In ...`` loop variables."""
+    count = len(kinds)
     cursor = index + 1
-    if (
-        _kind_at(tokens, cursor) is TokenKind.KEYWORD
-        and tokens[cursor].text.lower() == "each"
-    ):
+    if cursor < count and words[cursor] == "each":
         cursor += 1
-    if _kind_at(tokens, cursor) is TokenKind.IDENTIFIER:
-        declare(tokens[cursor].text)
+    if cursor < count and kinds[cursor] is TokenKind.IDENTIFIER:
+        declare(texts[cursor])
         cursor += 1
     return cursor

@@ -1,7 +1,8 @@
 """A tokenizer for Visual Basic for Applications source code.
 
-:func:`tokenize` turns a module's source into
-:class:`~repro.vba.tokens.Token` objects.  It handles the VBA constructs
+:func:`lex` turns a module's source into a :class:`TokenTable` of parallel
+columns (kind, text, line, column, word); :func:`tokenize` returns the same
+tokens as :class:`~repro.vba.tokens.Token` views.  It handles the VBA constructs
 that matter for static analysis of macro code:
 
 * ``'`` comments and ``Rem`` statement comments, running to end of line;
@@ -16,7 +17,7 @@ The scanner is one compiled master regex — a named-group alternation
 whose group order is the lexical precedence — driven by ``finditer``;
 only words need a Python decision (``Rem``, keyword or identifier).
 
-The scanner is loss-less: concatenating ``token.text`` for all tokens
+The scanner is loss-less: concatenating the texts of all tokens
 (including whitespace/newline tokens) reconstructs the input exactly.  Feature
 extraction relies on this property to compute exact character counts.
 """
@@ -58,10 +59,16 @@ _REST_OF_LINE = re.compile(r"[^\r\n]*")
 
 _KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
 
+#: Positions the parser never reads, and the only ones that get no view on
+#: an analysis path: everything else (NEWLINE and EOF included) is a
+#: "code" position.  A tuple: ``in`` compares members by identity, where a
+#: set would call ``Enum.__hash__`` in Python for every token.
+LAYOUT_KINDS = (TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.LINE_CONTINUATION)
+
 # ``Token`` is a frozen slots dataclass, whose generated ``__init__`` makes
-# one ``object.__setattr__`` call per field.  The lexer builds every token
-# of every module, so it fills the slots through their descriptors, which
-# halves the cost of a token; the result is an ordinary, equal ``Token``.
+# one ``object.__setattr__`` call per field.  Views fill the slots through
+# their descriptors instead, which halves the cost of a token; the result
+# is an ordinary, equal ``Token``.
 _new_object = object.__new__
 _set_kind, _set_text, _set_line, _set_column = (
     Token.__dict__[name].__set__ for name in ("kind", "text", "line", "column")
@@ -69,6 +76,7 @@ _set_kind, _set_text, _set_line, _set_column = (
 
 
 def _token(kind: TokenKind, text: str, line: int, column: int) -> Token:
+    """Build one :class:`Token` view: the only place views are made."""
     token = _new_object(Token)
     _set_kind(token, kind)
     _set_text(token, text)
@@ -77,19 +85,98 @@ def _token(kind: TokenKind, text: str, line: int, column: int) -> Token:
     return token
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize VBA source, returning all tokens including the final EOF.
+class TokenTable:
+    """One module's tokens as parallel columns, EOF included.
+
+    ``kinds``, ``texts``, ``lines`` and ``columns`` hold what a
+    :class:`Token` holds; ``words`` holds the lower-cased name without its
+    type suffix for an IDENTIFIER or KEYWORD and ``None`` otherwise.
+    Consumers that only need kinds and texts walk the columns; the ones
+    that need objects (the parser, the lint rules, the interpreters) ask
+    for views, which are built at most once per position.
+    """
+
+    __slots__ = ("kinds", "texts", "lines", "columns", "words", "_tokens", "_code")
+
+    def __init__(
+        self,
+        kinds: list[TokenKind],
+        texts: list[str],
+        lines: list[int],
+        columns: list[int],
+        words: list[str | None],
+    ) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.lines = lines
+        self.columns = columns
+        self.words = words
+        self._tokens: list[Token] | None = None
+        self._code: list[Token] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenTable):
+            return NotImplemented
+        return (
+            self.kinds == other.kinds
+            and self.texts == other.texts
+            and self.lines == other.lines
+            and self.columns == other.columns
+        )
+
+    def tokens(self) -> list[Token]:
+        """Every position as a :class:`Token` view, built on first call."""
+        if self._tokens is None:
+            self._tokens = list(
+                map(_token, self.kinds, self.texts, self.lines, self.columns)
+            )
+        return self._tokens
+
+    def code_tokens(self) -> list[Token]:
+        """Views of the code positions (all but whitespace, comments and
+        continuations), built on first call: the parser's token stream,
+        shared by every parse and the lint context of one macro."""
+        if self._code is None:
+            view = _token
+            layout = LAYOUT_KINDS
+            self._code = [
+                view(kind, text, line, column)
+                for kind, text, line, column in zip(
+                    self.kinds, self.texts, self.lines, self.columns
+                )
+                if kind not in layout
+            ]
+        return self._code
+
+
+def lex(source: str) -> TokenTable:
+    """Tokenize VBA source into a :class:`TokenTable`, EOF included.
 
     Line and column advance only past a NEWLINE token, or a
     LINE_CONTINUATION that ends in CR or LF (one at end of input does not);
     no other token can contain a line break.
     """
-    tokens: list[Token] = []
-    append = tokens.append
-    kinds = _KIND_OF_GROUP
+    kinds: list[TokenKind] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    columns: list[int] = []
+    words: list[str | None] = []
+    add_kind = kinds.append
+    add_text = texts.append
+    add_line = lines.append
+    add_column = columns.append
+    add_word = words.append
+    kind_of = _KIND_OF_GROUP
     newline = TokenKind.NEWLINE
     continuation = TokenKind.LINE_CONTINUATION
+    keyword = TokenKind.KEYWORD
+    identifier = TokenKind.IDENTIFIER
+    comment = TokenKind.COMMENT
     keywords = VBA_KEYWORDS
+    # One word object per distinct name: a name recurs throughout a
+    # module, and the table keeps every word it holds.
+    spelled = {}
+    same_word = spelled.setdefault
     line = 1
     line_start = 0
     position = 0
@@ -97,7 +184,8 @@ def tokenize(source: str) -> list[Token]:
         # ``finditer`` restarts only after ``Rem`` or a suffixed keyword.
         for match in _MASTER.finditer(source, position):
             start, end = match.span()
-            column = start - line_start + 1
+            add_line(line)
+            add_column(start - line_start + 1)
             group = match.lastgroup
             if group == "WORD" or group == "SUFFIX":
                 # ``Rem`` opens a comment to end of line; a keyword takes no
@@ -106,27 +194,44 @@ def tokenize(source: str) -> list[Token]:
                 word = source[start:word_end].lower()
                 if word == "rem":
                     end = _REST_OF_LINE.match(source, word_end).end()
-                    append(_token(TokenKind.COMMENT, source[start:end], line, column))
+                    add_kind(comment)
+                    add_text(source[start:end])
+                    add_word(None)
                     break
+                add_word(same_word(word, word))
                 if word in keywords:
-                    append(_token(TokenKind.KEYWORD, source[start:word_end], line, column))
+                    add_kind(keyword)
+                    add_text(source[start:word_end])
                     if word_end != end:
                         end = word_end  # scan the suffix character afresh
                         break
                 else:
-                    append(_token(TokenKind.IDENTIFIER, source[start:end], line, column))
+                    add_kind(identifier)
+                    add_text(source[start:end])
                 continue
-            kind = kinds[group]
+            kind = kind_of[group]
             text = source[start:end]
-            append(_token(kind, text, line, column))
+            add_kind(kind)
+            add_text(text)
+            add_word(None)
             if kind is newline or (kind is continuation and text[-1] in "\r\n"):
                 line += 1
                 line_start = end
         else:
             break
         position = end
-    append(_token(TokenKind.EOF, "", line, len(source) - line_start + 1))
-    return tokens
+    add_kind(TokenKind.EOF)
+    add_text("")
+    add_line(line)
+    add_column(len(source) - line_start + 1)
+    add_word(None)
+    return TokenTable(kinds, texts, lines, columns, words)
+
+
+def tokenize(source: str) -> list[Token]:
+    """Tokenize VBA source, returning all tokens including the final EOF:
+    the :class:`Token` views of :func:`lex`'s table."""
+    return lex(source).tokens()
 
 
 def significant_tokens(source: str) -> list[Token]:

@@ -1,8 +1,9 @@
 """Token definitions for the VBA lexer.
 
-The lexer in :mod:`repro.vba.lexer` produces a flat stream of
-:class:`Token` objects.  The token taxonomy follows the lexical grammar of
-[MS-VBAL] closely enough for static feature extraction: the paper's features
+The lexer in :mod:`repro.vba.lexer` produces a flat, columnar table of
+tokens, and :class:`Token` objects as views of it.  The token taxonomy
+follows the lexical grammar of [MS-VBAL] closely enough for static
+feature extraction: the paper's features
 (Table IV / Table VI) need comments, string literals, identifiers, keywords,
 operators and line structure, all of which are first-class token kinds here.
 """
@@ -57,12 +58,7 @@ class Token:
         """
         if self.kind is not TokenKind.STRING:
             raise ValueError(f"not a string token: {self.kind}")
-        body = self.text
-        if body.startswith('"'):
-            body = body[1:]
-        if body.endswith('"'):
-            body = body[:-1]
-        return body.replace('""', '"')
+        return string_value(self.text)
 
     @property
     def comment_value(self) -> str:
@@ -74,6 +70,16 @@ class Token:
         # ``Rem`` comment: drop the marker and one following space if present.
         body = self.text[3:]
         return body[1:] if body.startswith(" ") else body
+
+
+def string_value(text: str) -> str:
+    """The decoded value of a STRING token's text: delimiters stripped
+    (an unterminated literal has no closing one), ``""`` unescaped."""
+    if text.startswith('"'):
+        text = text[1:]
+    if text.endswith('"'):
+        text = text[:-1]
+    return text.replace('""', '"')
 
 
 # Reserved words of the VBA language, per [MS-VBAL] section 3.3.5.  Keyword

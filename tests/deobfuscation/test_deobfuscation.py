@@ -358,6 +358,25 @@ class TestLiteralRendering:
         assert run_function(once, "F", 2) == run_function(source, "F", 2) == 25
 
 
+class TestLabels:
+    def test_label_and_goto_survive(self):
+        source = (
+            "Sub A()\n"
+            "    Dim i\n"
+            "Again:\n"
+            '    i = i + 1: s = "a" & "b"\n'
+            "    If i < 3 Then GoTo Again\n"
+            "End Sub\n"
+        )
+        once = deobfuscate(source).source
+        lines = [line.strip() for line in once.splitlines()]
+        assert "Again:" in lines
+        assert "GoTo Again" in once
+        assert "Again()" not in once
+        assert 's = "ab"' in lines
+        assert deobfuscate(once).source == once
+
+
 class TestSignatureRecovery:
     """The operational payoff: deobfuscation restores AV detectability."""
 

@@ -206,8 +206,8 @@ class TestAntiAnalysisRules:
         def no_relex(_source):
             raise AssertionError("the module was tokenized a second time")
 
-        monkeypatch.setattr("repro.vba.parser.tokenize", no_relex)
-        monkeypatch.setattr("repro.vba.analyzer.tokenize", no_relex)
+        monkeypatch.setattr("repro.vba.parser.lex", no_relex)
+        monkeypatch.setattr("repro.vba.analyzer.lex", no_relex)
         found = lint_analysis(analysis, ["aa-broken-code"])
         assert found and "shadowed by Exit at line 3" in found[0].message
 

@@ -93,7 +93,7 @@ def token_soup(seed: int) -> str:
 
 def _assert_same(source: str, rules=None, *, recover: bool = False) -> None:
     analysis = analyze(source)
-    recovery = recover_strings(source, tokens=analysis.tokens) if recover else None
+    recovery = recover_strings(source, tokens=analysis.table) if recover else None
     assert lint_analysis(analysis, rules, recovery=recovery) == oracle_lint(
         analysis, rules, recovery=recovery
     ), repr(source[:200])

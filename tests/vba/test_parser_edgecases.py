@@ -77,6 +77,38 @@ class TestColonStatements:
         assert len(module.procedures["a"].body) == 2
 
 
+class TestLineLabels:
+    @pytest.mark.parametrize("tolerant", [False, True])
+    def test_label_alone_on_its_line(self, tolerant):
+        module = parse_module(
+            "Sub A()\nAgain:\n    i = i + 1\nEnd Sub", tolerant=tolerant
+        )
+        label, step = module.procedures["a"].body
+        assert label == ast.NoOpStmt("Again:", 2)
+        assert isinstance(step, ast.Assign)
+
+    @pytest.mark.parametrize("tolerant", [False, True])
+    def test_label_before_a_statement(self, tolerant):
+        module = parse_module(
+            "Sub A()\n    Again: i = i + 1\nEnd Sub", tolerant=tolerant
+        )
+        label, step = module.procedures["a"].body
+        assert label == ast.NoOpStmt("Again:", 2)
+        assert isinstance(step, ast.Assign) and step.target.name == "i"
+
+    def test_label_roundtrips(self):
+        module = roundtrip("Sub A()\nAgain: i = i + 1\nEnd Sub")
+        assert module.procedures["a"].body[0] == ast.NoOpStmt("Again:", 2)
+
+    def test_noop_statements_and_mid_line_names_are_not_labels(self):
+        body = parse_module(
+            "Sub A()\n    DoEvents: i = 1\n    i = 2: Again: i = 3\nEnd Sub"
+        ).procedures["a"].body
+        assert body[0] == ast.NoOpStmt("DoEvents", 2)
+        assert isinstance(body[2], ast.Assign)
+        assert isinstance(body[3], ast.CallStmt)  # not at a line start
+
+
 class TestConstDeclarations:
     def test_multi_name_const(self):
         module = roundtrip(
