@@ -822,13 +822,14 @@ def _train_detector(classifier: str, seed: int):
 def _scan_extras(records):
     """Per-record anti-analysis findings + AV aggregate (the non-ML checks)."""
     from repro.avsim.virustotal import VirusTotalSim
-    from repro.detect import scan_macro
+    from repro.lint.registry import lint_source, rules_for_class
 
     av = VirusTotalSim()
+    rules = rules_for_class("AA")
     extras = []
     for record in records:
         anti = {
-            macro.module_name: scan_macro(macro.source).findings
+            macro.module_name: lint_source(macro.source, rules)
             for macro in record.macros
         }
         report = av.scan(record.sources) if record.ok else None
@@ -880,7 +881,7 @@ def _cmd_scan(args) -> int:
             payload_extras.append(
                 {
                     "anti_analysis": {
-                        name: [f.technique for f in findings]
+                        name: [f.rule_id for f in findings]
                         for name, findings in extra["anti"].items()
                     },
                     "av": None
@@ -923,7 +924,7 @@ def _cmd_scan(args) -> int:
             if args.recover:
                 _print_recovered(macro)
             for finding in extra["anti"][macro.module_name][:5]:
-                print(f"    [anti-analysis] {finding.technique}: {finding.detail}")
+                print(f"    [anti-analysis] {finding.rule_id}: {finding.message}")
         report = extra["av"]
         print(
             f"  AV aggregate: {report.detections}/{report.total_vendors} "

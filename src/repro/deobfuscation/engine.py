@@ -238,12 +238,6 @@ class _Recorder(AbstractInterpreter):
         if not statement.text.lower().startswith(_INERT_STATEMENTS):
             self._touch()
 
-    _DISPATCH = {
-        **AbstractInterpreter._DISPATCH,
-        ast.Assign: _exec_assign,
-        ast.NoOpStmt: _exec_noop,
-    }
-
 
 # ----------------------------------------------------------------------
 # Rewrite

@@ -1,14 +1,11 @@
 """AA — anti-analysis technique rules (the paper's §VI.B catalog).
 
-These port the three :mod:`repro.detect.antianalysis` detectors onto the
-shared rule registry so anti-analysis tricks surface in the same findings
-stream as O1–O4 obfuscation.  Matching is token-based rather than
-regex-over-raw-source, which fixes the historical false positives on
-``Timer``/``GetTickCount`` appearing inside string literals, comments, or
-as substrings of longer identifiers (``MyTimer``).
-
-:mod:`repro.detect.antianalysis` re-exposes these rules under its original
-``scan_macro`` API, so both entry points share one implementation.
+Three detectors on the shared rule registry, so anti-analysis tricks
+surface in the same findings stream as O1–O4 obfuscation; ``repro scan``
+lists their ids per macro under ``anti_analysis``.  Matching is
+token-based rather than regex-over-raw-source, so ``Timer`` or
+``GetTickCount`` inside string literals, comments, or as substrings of
+longer identifiers (``MyTimer``) is not a finding.
 """
 
 from __future__ import annotations

@@ -1,18 +1,28 @@
-"""Budgeted constant-folding abstract interpreter over the VBA AST.
+"""The VBA AST walker: budgeted constant folding, and concrete execution.
 
-This is the static counterpart of :mod:`repro.vba.interpreter`: instead of
-*executing* a macro it *folds* it — propagating constants through the
-same AST and calling the same string builtins (``Chr``, ``StrReverse``,
-``Replace``, ``Mid`` …) on concrete arguments, so the payload strings that
-O2/O3 obfuscation hides behind decoder expressions fall out without
+This is the one statement/expression walker over the :mod:`repro.vba`
+AST.  :class:`AbstractInterpreter` *folds* a macro: it propagates
+constants and calls the string builtins (``Chr``, ``StrReverse``,
+``Replace``, ``Mid`` …) on concrete arguments, so the payload strings
+that O2/O3 obfuscation hides behind decoder expressions fall out without
 running anything.  Everything it cannot pin down — host objects, I/O,
-unknown names, over-budget loops — widens to ⊤ (:mod:`repro.sa.domain`)
-and the analysis keeps going, which makes it *total*: every input, no
-matter how hostile, terminates within the :class:`~repro.resilience.budgets.SABudget`
-and yields a :class:`~repro.sa.records.StringRecovery`.
+unknown names, runtime errors, over-budget loops — widens to ⊤
+(:mod:`repro.sa.domain`) and the analysis keeps going, which makes it
+*total*: every input, no matter how hostile, terminates within the
+:class:`~repro.resilience.budgets.SABudget` and yields a
+:class:`~repro.sa.records.StringRecovery`.
 
 Design notes:
 
+* Every place the walker gives up on a value goes through one method,
+  :meth:`AbstractInterpreter._widen`.  Here it returns ⊤ (noting budget
+  caps on the result); :class:`repro.vba.interpreter.Interpreter`
+  overrides it to raise, and runs under a budget whose only reachable
+  limit is its step count, so the concrete face never sees ⊤ and the
+  join/havoc code below never runs for it.
+* Values are coerced by the shared :mod:`repro.vba.builtins` functions
+  (``_as_number``, ``_as_int``, ``_truthy``), and builtins are that
+  module's table called on concrete arguments.
 * The value domain is the flat constant lattice.  ``If`` with a ⊤
   condition executes *all* branches, each from the same saved state, and
   joins their exits; loops whose trip count is concrete and under budget
@@ -21,12 +31,8 @@ Design notes:
   the module variables and the elements of every array reachable from
   them (arrays are shared by reference across frames), so all three are
   saved, restored and joined per path.  Recovered strings are therefore
-  a *superset* of what one dynamic execution observes — the parity
+  a *superset* of what one concrete execution observes — the parity
   property the tests assert.
-* Builtins are the dynamic interpreter's own ``_BUILTINS`` table called
-  on concrete arguments (their coercions are static methods), wrapped so
-  any :class:`~repro.vba.interpreter.VBARuntimeError` becomes ⊤ instead
-  of aborting.
 * Budgets degrade, never raise: step exhaustion aborts the pass with
   partial results; loop-cap and size-cap trips only widen locally and
   flag ``exhausted`` on the result.
@@ -34,6 +40,7 @@ Design notes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -43,12 +50,14 @@ from repro.resilience.budgets import DEFAULT_SA_BUDGET, SABudget
 from repro.sa.domain import TOP, is_concrete, join, join_envs
 from repro.sa.records import RecoveredString, StringRecovery
 from repro.vba import ast_nodes as ast
-from repro.vba.interpreter import (
+from repro.vba.builtins import (
     _BUILTINS,
-    Interpreter,
     VBARuntimeError,
+    _as_int,
+    _as_number,
     _compare,
     _to_vba_string,
+    _truthy,
 )
 from repro.vba.parser import VBAParseError, parse_module
 
@@ -85,6 +94,16 @@ _MAX_HAVOC_PASSES = 8
 #: builtins whose output size is driven by an integer argument — precheck
 #: the count against the string-length budget before calling
 _SIZE_PRODUCING = frozenset({"space", "string", "string$"})
+
+#: widening reasons that are budget caps: they flag the result exhausted
+_BUDGET_CAPS = frozenset(
+    {"array_size", "call_depth", "loop_iterations", "number_size", "string_length"}
+)
+
+#: what a concrete operation on concrete values may raise — VBA runtime
+#: errors, and the Python errors of values VBA would reject (a number too
+#: large to print, ``0 ^ -1``, ``None < 1``)
+_RUNTIME_ERRORS = (VBARuntimeError, ArithmeticError, LookupError, TypeError, ValueError)
 
 
 @dataclass
@@ -144,6 +163,23 @@ class AbstractInterpreter:
         if not self._exhausted_reason:
             self._exhausted_reason = reason
 
+    def _widen(self, reason: str | Exception, line: int) -> object:
+        """Give up on a value: ⊤.  ``reason`` is a budget cap in
+        ``_BUDGET_CAPS`` (noted on the result), a runtime error's message,
+        or the runtime error itself."""
+        if reason in _BUDGET_CAPS:
+            self._note_exhausted(reason)
+        return TOP
+
+    def _coerce(self, convert, value: object, line: int) -> object:
+        """``convert(value, line)`` — a shared coercion — or ⊤."""
+        if value is TOP:
+            return value
+        try:
+            return convert(value, line)
+        except VBARuntimeError as error:
+            return self._widen(error, line)
+
     def _record(self, value: object, line: int, origin: str) -> None:
         if not isinstance(value, str):
             return
@@ -167,9 +203,10 @@ class AbstractInterpreter:
     def _call_procedure(
         self, procedure: ast.Procedure, args: list[object]
     ) -> object:
+        if len(args) > len(procedure.params):
+            self._widen(f"{procedure.name}: too many arguments", procedure.line)
         if self._depth >= self.budget.max_call_depth:
-            self._note_exhausted("call_depth")
-            return TOP
+            return self._widen("call_depth", procedure.line)
         locals_: dict[str, object] = {
             param.lower(): (args[index] if index < len(args) else None)
             for index, param in enumerate(procedure.params)
@@ -182,7 +219,8 @@ class AbstractInterpreter:
                 self._execute(statement, locals_)
         except _ExitSignal as signal:
             if signal.kind not in ("sub", "function"):
-                pass  # stray Exit For/Do: treat as procedure end
+                # A stray Exit For/Do: the procedure ends here.
+                self._widen(f"Exit {signal.kind} outside loop", procedure.line)
         finally:
             self._depth -= 1
         if procedure.kind == "function":
@@ -192,28 +230,25 @@ class AbstractInterpreter:
         return None
 
     # ------------------------------------------------------------------
-    # Statement folding
+    # Statements
 
     def _execute(self, statement: ast.Statement, env: dict[str, object]) -> None:
         self._tick()
-        method = self._DISPATCH[type(statement)]
-        method(self, statement, env)
+        getattr(self, self._DISPATCH[type(statement)])(statement, env)
 
     def _exec_dim(self, statement: ast.DimStmt, env: dict[str, object]) -> None:
         for name, extent in statement.names:
+            key = name.lower()
             if extent is None:
-                env.setdefault(name.lower(), None)
+                env.setdefault(key, None)
                 continue
-            size = self._eval(extent, env)
-            if isinstance(size, bool) or not isinstance(size, (int, float)):
-                env[name.lower()] = TOP
-                continue
-            size = int(size)
-            if not 0 <= size < self.budget.max_loop_iterations:
-                self._note_exhausted("array_size")
-                env[name.lower()] = TOP
-                continue
-            env[name.lower()] = [None] * (size + 1)
+            size = self._coerce(_as_int, self._eval(extent, env), statement.line)
+            if size is TOP:
+                env[key] = size
+            elif not 0 <= size < self.budget.max_loop_iterations:
+                env[key] = self._widen("array_size", statement.line)
+            else:
+                env[key] = [None] * (size + 1)
 
     def _exec_const(self, statement: ast.ConstStmt, env: dict[str, object]) -> None:
         env[statement.name.lower()] = self._eval(statement.value, env)
@@ -228,38 +263,32 @@ class AbstractInterpreter:
             return  # host-object property write: inert
         # ``arr(i) = value`` element assignment.
         container = self._load(target.name, env)
-        if container is TOP or not isinstance(container, list):
-            self._store(target.name, TOP, env)
-            return
-        if len(target.args) != 1:
-            self._store(target.name, TOP, env)
-            return
-        index = self._eval(target.args[0], env)
-        if (
-            isinstance(index, bool)
-            or not isinstance(index, (int, float))
-            or not 0 <= int(index) < len(container)
-        ):
-            # Unknown or out-of-range index: the whole array is now unknown.
-            self._store(target.name, TOP, env)
-            return
-        container[int(index)] = value
+        if not isinstance(container, list):
+            reason = f"{target.name} is not an array"
+        elif len(target.args) != 1:
+            reason = "only 1-D element assignment supported"
+        else:
+            index = self._coerce(_as_int, self._eval(target.args[0], env), target.line)
+            if index is not TOP and 0 <= index < len(container):
+                container[index] = value
+                return
+            reason = f"subscript out of range: {index}"
+        # Unknown container or index: the whole array is now unknown.
+        self._store(target.name, self._widen(reason, target.line), env)
 
     def _exec_if(self, statement: ast.IfStmt, env: dict[str, object]) -> None:
         remaining: list[tuple[ast.Statement, ...]] = []
         for condition, body in statement.branches:
-            value = self._eval(condition, env)
-            truth = self._truthy(value)
-            if truth is True:
+            truth = self._coerce(_truthy, self._eval(condition, env), statement.line)
+            if truth is TOP:
+                remaining.append(body)  # the branch may or may not run
+            elif truth:
                 if remaining:
                     remaining.append(body)
                     break
                 for inner in body:
                     self._execute(inner, env)
                 return
-            if truth is False:
-                continue
-            remaining.append(body)  # ⊤ condition: branch may or may not run
         else:
             if not remaining:
                 for inner in statement.else_body:
@@ -281,44 +310,39 @@ class AbstractInterpreter:
         self._merge(env, exits)
 
     def _exec_for(self, statement: ast.ForStmt, env: dict[str, object]) -> None:
-        start = self._eval(statement.start, env)
-        end = self._eval(statement.end, env)
-        step: object = (
-            self._eval(statement.step, env) if statement.step is not None else 1
+        line = statement.line
+        start = self._coerce(_as_number, self._eval(statement.start, env), line)
+        end = self._coerce(_as_number, self._eval(statement.end, env), line)
+        step = (
+            self._coerce(_as_number, self._eval(statement.step, env), line)
+            if statement.step is not None
+            else 1
         )
         var = statement.var.lower()
-        concrete = (
-            isinstance(start, (int, float))
-            and isinstance(end, (int, float))
-            and isinstance(step, (int, float))
-            and not isinstance(step, bool)
-            and step != 0
-        )
-        if concrete:
-            trips = int((end - start) / step) + 1 if (end - start) * step >= 0 else 0
-            if trips <= self.budget.max_loop_iterations:
-                current = start
-                try:
-                    while (step > 0 and current <= end) or (
-                        step < 0 and current >= end
-                    ):
-                        env[var] = current
-                        for inner in statement.body:
-                            self._execute(inner, env)
-                        bound = env.get(var)
-                        if isinstance(bound, bool) or not isinstance(
-                            bound, (int, float)
-                        ):
-                            break  # body widened the loop var: havoc below
-                        current = bound + step
-                    else:
-                        return
-                except _ExitSignal as signal:
-                    if signal.kind != "for":
-                        raise
+        if start is TOP or end is TOP or step is TOP:
+            pass  # unknown bounds: havoc below
+        elif step == 0:
+            self._widen("For step cannot be 0", line)
+        elif not _span(start, end, step) < self.budget.max_loop_iterations:
+            self._widen("loop_iterations", line)
+        else:
+            current = start
+            try:
+                while (step > 0 and current <= end) or (step < 0 and current >= end):
+                    env[var] = current
+                    for inner in statement.body:
+                        self._execute(inner, env)
+                    # The body may reassign the loop variable.
+                    current = self._coerce(_as_number, env[var], line)
+                    if current is TOP:
+                        break  # widened: havoc below
+                    current += step
+                else:
                     return
-            else:
-                self._note_exhausted("loop_iterations")
+            except _ExitSignal as signal:
+                if signal.kind != "for":
+                    raise
+                return
         self._havoc_loop(statement.body, env, loop_vars=(var,))
 
     def _exec_for_each(
@@ -326,10 +350,11 @@ class AbstractInterpreter:
     ) -> None:
         iterable = self._eval(statement.iterable, env)
         var = statement.var.lower()
-        if (
-            isinstance(iterable, list)
-            and len(iterable) <= self.budget.max_loop_iterations
-        ):
+        if not isinstance(iterable, list):
+            self._widen("For Each needs an array", statement.line)
+        elif len(iterable) > self.budget.max_loop_iterations:
+            self._widen("loop_iterations", statement.line)
+        else:
             try:
                 for item in iterable:
                     env[var] = item
@@ -339,8 +364,6 @@ class AbstractInterpreter:
                 if signal.kind != "for":
                     raise
             return
-        if isinstance(iterable, list):
-            self._note_exhausted("loop_iterations")
         self._havoc_loop(statement.body, env, loop_vars=(var,))
 
     def _exec_do(self, statement: ast.DoLoopStmt, env: dict[str, object]) -> None:
@@ -352,21 +375,21 @@ class AbstractInterpreter:
                     self._execute(inner, env)
                 iterations = 1
                 truth = self._check_do(statement, env)
-                if truth is False:
-                    return
-                if truth is None:
+                if truth is TOP:
                     self._havoc_loop(statement.body, env)
+                    return
+                if not truth:
                     return
             while True:
                 if statement.pre_test:
                     truth = self._check_do(statement, env)
-                    if truth is False:
-                        return
-                    if truth is None:
+                    if truth is TOP:
                         self._havoc_loop(statement.body, env)
                         return
+                    if not truth:
+                        return
                 if iterations >= self.budget.max_loop_iterations:
-                    self._note_exhausted("loop_iterations")
+                    self._widen("loop_iterations", statement.line)
                     self._havoc_loop(statement.body, env)
                     return
                 for inner in statement.body:
@@ -374,23 +397,21 @@ class AbstractInterpreter:
                 iterations += 1
                 if not statement.pre_test:
                     truth = self._check_do(statement, env)
-                    if truth is False:
-                        return
-                    if truth is None:
+                    if truth is TOP:
                         self._havoc_loop(statement.body, env)
+                        return
+                    if not truth:
                         return
         except _ExitSignal as signal:
             if signal.kind != "do":
                 raise
 
-    def _check_do(
-        self, statement: ast.DoLoopStmt, env: dict[str, object]
-    ) -> bool | None:
-        """Do/While continue-condition: True, False, or None for ⊤."""
-        truth = self._truthy(self._eval(statement.condition, env))
-        if truth is None:
-            return None
-        return truth if statement.condition_kind == "while" else not truth
+    def _check_do(self, statement: ast.DoLoopStmt, env: dict[str, object]) -> object:
+        """Do/While continue-condition: True, False, or ⊤."""
+        truth = self._coerce(_truthy, self._eval(statement.condition, env), statement.line)
+        if truth is TOP or statement.condition_kind == "while":
+            return truth
+        return not truth
 
     def _havoc_loop(
         self,
@@ -481,7 +502,7 @@ class AbstractInterpreter:
         env.update(joined_env)
 
     def _exec_with(self, statement: ast.WithStmt, env: dict[str, object]) -> None:
-        self._eval(statement.subject, env)
+        self._exec_host(statement.subject, env)
         for inner in statement.body:
             self._execute(inner, env)
 
@@ -489,23 +510,33 @@ class AbstractInterpreter:
         raise _ExitSignal(statement.kind)
 
     def _exec_call(self, statement: ast.CallStmt, env: dict[str, object]) -> None:
-        self._eval(statement.call, env)
+        if isinstance(statement.call, ast.MemberAccess):
+            self._exec_host(statement.call, env)  # ``stream.Open``
+        else:
+            self._eval(statement.call, env)
 
     def _exec_noop(self, statement: ast.NoOpStmt, env: dict[str, object]) -> None:
         return
 
+    def _exec_host(self, expression: ast.Expression, env: dict[str, object]) -> None:
+        """A host expression in statement position (a ``With`` subject, a
+        member call statement): evaluated for its parts, value unused."""
+        self._eval(expression, env)
+
+    #: statement type -> the method that runs it (by name, so a
+    #: subclass's override is the one called)
     _DISPATCH = {
-        ast.DimStmt: _exec_dim,
-        ast.ConstStmt: _exec_const,
-        ast.Assign: _exec_assign,
-        ast.IfStmt: _exec_if,
-        ast.ForStmt: _exec_for,
-        ast.ForEachStmt: _exec_for_each,
-        ast.DoLoopStmt: _exec_do,
-        ast.WithStmt: _exec_with,
-        ast.ExitStmt: _exec_exit,
-        ast.CallStmt: _exec_call,
-        ast.NoOpStmt: _exec_noop,
+        ast.DimStmt: "_exec_dim",
+        ast.ConstStmt: "_exec_const",
+        ast.Assign: "_exec_assign",
+        ast.IfStmt: "_exec_if",
+        ast.ForStmt: "_exec_for",
+        ast.ForEachStmt: "_exec_for_each",
+        ast.DoLoopStmt: "_exec_do",
+        ast.WithStmt: "_exec_with",
+        ast.ExitStmt: "_exec_exit",
+        ast.CallStmt: "_exec_call",
+        ast.NoOpStmt: "_exec_noop",
     }
 
     # ------------------------------------------------------------------
@@ -529,16 +560,7 @@ class AbstractInterpreter:
         return _MISSING
 
     # ------------------------------------------------------------------
-    # Expression folding
-
-    def _truthy(self, value: object) -> bool | None:
-        """Three-valued truth: None means ⊤ (either branch possible)."""
-        if value is TOP or isinstance(value, list):
-            return None
-        try:
-            return Interpreter._truthy(value)
-        except VBARuntimeError:
-            return None
+    # Expressions
 
     def _eval(self, expression: ast.Expression, env: dict[str, object]) -> object:
         self._tick()
@@ -554,16 +576,12 @@ class AbstractInterpreter:
             return self._eval_binop(expression, env)
         if isinstance(expression, ast.UnaryOp):
             operand = self._eval(expression.operand, env)
-            if operand is TOP:
-                return TOP
-            try:
-                if expression.op == "-":
-                    return -Interpreter._as_number(operand, expression.line)
-                truth = self._truthy(operand)
-                return TOP if truth is None else not truth
-            except VBARuntimeError:
-                return TOP
-        return TOP
+            if expression.op == "-":
+                number = self._coerce(_as_number, operand, expression.line)
+                return number if number is TOP else -number
+            truth = self._coerce(_truthy, operand, expression.line)
+            return truth if truth is TOP else not truth
+        return self._widen(f"cannot evaluate {expression!r}", 0)
 
     def _eval_member(
         self, expression: ast.MemberAccess, env: dict[str, object]
@@ -573,12 +591,13 @@ class AbstractInterpreter:
         self._eval(expression.base, env)
         for arg in expression.args or ():
             self._eval(arg, env)
-        return TOP
+        return self._widen("host member access", expression.line)
 
     def _eval_name(self, expression: ast.Name, env: dict[str, object]) -> object:
         bound = self._load(expression.name, env)
         if bound is not _MISSING:
             return bound
+        # A zero-argument procedure or builtin used as a value.
         key = expression.name.lower()
         procedure = self.module.procedures.get(key)
         if procedure is not None:
@@ -586,28 +605,30 @@ class AbstractInterpreter:
         builtin = _BUILTINS.get(key)
         if builtin is not None:
             return self._fold_builtin(key, builtin, [], expression.line)
-        return TOP  # unknown name: a host global or undeclared variable
+        # A host global or an undeclared variable.
+        return self._widen(f"undefined name {expression.name!r}", expression.line)
 
     def _eval_call(self, expression: ast.Call, env: dict[str, object]) -> object:
         key = expression.name.lower()
         bound = self._load(expression.name, env)
+        # Array indexing shares call syntax.
         if isinstance(bound, list):
             if len(expression.args) != 1:
-                return TOP
-            index = self._eval(expression.args[0], env)
-            if (
-                isinstance(index, bool)
-                or not isinstance(index, (int, float))
-                or not 0 <= int(index) < len(bound)
-            ):
-                return TOP
-            return bound[int(index)]
+                return self._widen("only 1-D array indexing supported", expression.line)
+            index = self._coerce(
+                _as_int, self._eval(expression.args[0], env), expression.line
+            )
+            if index is TOP:
+                return index
+            if 0 <= index < len(bound):
+                return bound[index]
+            return self._widen(f"subscript out of range: {index}", expression.line)
         if bound is TOP:
             # Could be an array we lost track of — evaluate args for their
             # side budget and give up on the value.
             for arg in expression.args:
                 self._eval(arg, env)
-            return TOP
+            return self._widen(f"{expression.name} is unknown", expression.line)
         procedure = self.module.procedures.get(key)
         if procedure is not None:
             args = [self._eval(arg, env) for arg in expression.args]
@@ -624,25 +645,23 @@ class AbstractInterpreter:
         """A call to no module procedure and no builtin: a host API."""
         for arg in expression.args:
             self._eval(arg, env)
-        return TOP
+        return self._widen(f"unknown function {expression.name!r}", expression.line)
 
     def _fold_builtin(self, key: str, builtin, args: list, line: int) -> object:
         if not all(is_concrete(arg) for arg in args):
-            return TOP
+            return self._widen(f"{key} of an unknown argument", line)
         if key in _SIZE_PRODUCING and args:
-            count = args[0]
-            if not isinstance(count, (int, float)) or not (
-                0 <= count <= self.budget.max_string_length
-            ):
-                self._note_exhausted("string_length")
-                return TOP
+            count = self._coerce(_as_number, args[0], line)
+            if count is TOP:
+                return count
+            if count > self.budget.max_string_length:
+                return self._widen("string_length", line)
         try:
-            value = builtin(Interpreter, args, line)
-        except (VBARuntimeError, ValueError, TypeError, OverflowError):
-            return TOP
+            value = builtin(args, line)
+        except _RUNTIME_ERRORS as error:
+            return self._widen(error, line)
         if isinstance(value, str) and len(value) > self.budget.max_string_length:
-            self._note_exhausted("string_length")
-            return TOP
+            return self._widen("string_length", line)
         return value
 
     def _eval_binop(self, expression: ast.BinOp, env: dict[str, object]) -> object:
@@ -664,78 +683,82 @@ class AbstractInterpreter:
 
     def _fold_binop(self, op: str, left: object, right: object, line: int) -> object:
         if left is TOP or right is TOP:
-            return TOP
+            return self._widen(f"{op} of an unknown operand", line)
         if isinstance(left, list) or isinstance(right, list):
-            return TOP
+            return self._widen(f"type mismatch: array operand of {op}", line)
         try:
             return self._fold_binop_concrete(op, left, right, line)
-        except (VBARuntimeError, ValueError, TypeError, OverflowError):
-            return TOP
+        except _RUNTIME_ERRORS as error:
+            return self._widen(error, line)
 
     def _fold_binop_concrete(
         self, op: str, left: object, right: object, line: int
     ) -> object:
-        as_number = Interpreter._as_number
-        as_int = Interpreter._as_int
         if op == "&":
             text = _to_vba_string(left) + _to_vba_string(right)
             if len(text) > self.budget.max_string_length:
-                self._note_exhausted("string_length")
-                return TOP
+                return self._widen("string_length", line)
             return text
         if op == "+":
             if isinstance(left, str) and isinstance(right, str):
                 if len(left) + len(right) > self.budget.max_string_length:
-                    self._note_exhausted("string_length")
-                    return TOP
+                    return self._widen("string_length", line)
                 return left + right
-            return as_number(left, line) + as_number(right, line)
+            return _as_number(left, line) + _as_number(right, line)
         if op == "-":
-            return as_number(left, line) - as_number(right, line)
+            return _as_number(left, line) - _as_number(right, line)
         if op == "*":
-            return as_number(left, line) * as_number(right, line)
+            return _as_number(left, line) * _as_number(right, line)
         if op == "/":
-            divisor = as_number(right, line)
+            divisor = _as_number(right, line)
             if divisor == 0:
-                return TOP
-            return as_number(left, line) / divisor
+                return self._widen("division by zero", line)
+            return _as_number(left, line) / divisor
         if op == "\\":
-            divisor = as_int(right, line)
+            divisor = _as_int(right, line)
             if divisor == 0:
-                return TOP
-            dividend = as_int(left, line)
+                return self._widen("division by zero", line)
+            dividend = _as_int(left, line)
+            # VBA \ truncates toward zero; compute with exact integer math.
             quotient = abs(dividend) // abs(divisor)
             return quotient if (dividend >= 0) == (divisor >= 0) else -quotient
         if op == "mod":
-            divisor = as_int(right, line)
+            divisor = _as_int(right, line)
             if divisor == 0:
-                return TOP
-            dividend = as_int(left, line)
+                return self._widen("division by zero", line)
+            dividend = _as_int(left, line)
             remainder = abs(dividend) % abs(divisor)
             return remainder if dividend >= 0 else -remainder
         if op == "^":
-            base = as_number(left, line)
-            exponent = as_number(right, line)
-            # Unbudgeted exponentiation can materialize million-digit
-            # integers; anything past these bounds widens.
-            if abs(exponent) > 512 or (abs(base) > 1 and abs(exponent) > 64):
-                self._note_exhausted("number_size")
-                return TOP
+            base = _as_number(left, line)
+            exponent = _as_number(right, line)
+            # A power whose digits would outgrow the longest string the
+            # budget materializes widens instead of being computed.
+            if abs(base) > 1 and (
+                abs(exponent) * math.log10(abs(base)) > self.budget.max_string_length
+            ):
+                return self._widen("number_size", line)
             return base**exponent
         if op in ("=", "<>", "<", ">", "<=", ">="):
             return _compare(op, left, right, line)
         if op == "and":
-            a, b = self._truthy(left), self._truthy(right)
-            return TOP if a is None or b is None else (a and b)
+            # Both operands were evaluated: VBA And/Or do not short-circuit.
+            return _truthy(left, line) and _truthy(right, line)
         if op == "or":
-            a, b = self._truthy(left), self._truthy(right)
-            return TOP if a is None or b is None else (a or b)
+            return _truthy(left, line) or _truthy(right, line)
         if op == "xor":
             if isinstance(left, bool) or isinstance(right, bool):
-                a, b = self._truthy(left), self._truthy(right)
-                return TOP if a is None or b is None else (a != b)
-            return as_int(left, line) ^ as_int(right, line)
-        return TOP
+                return _truthy(left, line) != _truthy(right, line)
+            return _as_int(left, line) ^ _as_int(right, line)
+        return self._widen(f"unsupported operator {op!r}", line)
+
+
+def _span(start: int | float, end: int | float, step: int | float) -> float:
+    """A For loop's trip span, ``(end - start) / step``; ∞ past a float."""
+    try:
+        return (end - start) / step
+    except OverflowError:
+        return math.inf
 
 
 def _maximal_strings(records: list[RecoveredString]) -> list[RecoveredString]:

@@ -3,11 +3,12 @@
 This is the de-obfuscation engine that :func:`repro.deobfuscation.deobfuscate`
 replaced with one abstract-interpretation pass plus a rewrite.  It walks the
 AST with its own folder (``_Folder``), decides which module functions may
-run with a separate purity analysis, executes them in the concrete
-:class:`~repro.vba.interpreter.Interpreter` sandbox, and repeats up to
-``max_passes`` times.  The differential tests require the production engine
-to parse the same inputs, restore at least as many AV detections, keep
-every long literal this engine recovers, and be idempotent.  Kept verbatim;
+run with a separate purity analysis, executes them in a concrete
+interpreter sandbox, and repeats up to ``max_passes`` times.  The differential
+tests require the production engine to parse the same inputs, restore at
+least as many AV detections, keep every long literal this engine recovers,
+and be idempotent.  Kept verbatim, with the sandbox and builtins of the
+interpreter it was written against (:mod:`tests.vba.interpreter_oracle`);
 do not "fix" it.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.vba import ast_nodes as ast
-from repro.vba.interpreter import Interpreter, VBARuntimeError, _BUILTINS
+from tests.vba.interpreter_oracle import Interpreter, VBARuntimeError, _BUILTINS
 from repro.vba.parser import VBAParseError, parse_module
 from repro.vba.unparser import unparse_module
 

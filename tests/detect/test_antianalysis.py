@@ -1,6 +1,11 @@
-"""Tests for the anti-analysis technique detectors."""
+"""Tests for the anti-analysis technique detectors: the ``AA`` lint rules.
 
-from repro.detect import scan_macro
+The detectors are registered lint rules (:mod:`repro.lint.rules.antianalysis`);
+each case here runs the ``AA`` class through the registry, as ``repro scan``
+does for its ``anti_analysis`` field.
+"""
+
+from repro.lint.registry import lint_source, rules_for_class
 from repro.obfuscation.antianalysis import (
     BrokenCodeInserter,
     FlowChanger,
@@ -17,6 +22,15 @@ CLEAN = (
     "End Sub\n"
 )
 
+def scan_macro(source: str) -> list:
+    """The ``AA`` findings for one macro."""
+    return lint_source(source, rules_for_class("AA"))
+
+
+def rule_ids(findings: list) -> set[str]:
+    return {finding.rule_id for finding in findings}
+
+
 PAYLOAD = (
     "Sub Document_Open()\n"
     "    Dim cmd As String\n"
@@ -28,16 +42,13 @@ PAYLOAD = (
 
 class TestCleanCode:
     def test_clean_macro_has_no_findings(self):
-        report = scan_macro(CLEAN)
-        assert not report.suspicious
-        assert report.techniques == set()
+        assert scan_macro(CLEAN) == []
 
     def test_ordinary_userform_use_is_reported_but_typed(self):
         # Reading captions is the hidden-string channel; the detector flags
         # it and downstream logic decides what to do with the signal.
         source = "Sub A()\n    x = UserForm1.Label1.Caption\nEnd Sub\n"
-        report = scan_macro(source)
-        assert report.techniques == {"hidden_strings"}
+        assert rule_ids(scan_macro(source)) == {"aa-hidden-strings"}
 
 
 class TestHiddenStrings:
@@ -46,9 +57,9 @@ class TestHiddenStrings:
         hidden = StringHider(hide_probability=1.0, min_length=4).apply(
             PAYLOAD, context
         )
-        report = scan_macro(hidden)
-        assert "hidden_strings" in report.techniques
-        assert any("document-storage read" in f.detail for f in report.findings)
+        findings = scan_macro(hidden)
+        assert "aa-hidden-strings" in rule_ids(findings)
+        assert any("document-storage read" in f.message for f in findings)
 
     def test_document_variables_pattern(self):
         source = (
@@ -56,14 +67,13 @@ class TestHiddenStrings:
             '    x = ActiveDocument.Variables("k").Value()\n'
             "End Sub\n"
         )
-        assert "hidden_strings" in scan_macro(source).techniques
+        assert "aa-hidden-strings" in rule_ids(scan_macro(source))
 
 
 class TestBrokenCode:
     def test_broken_code_inserter_output_detected(self):
         out = BrokenCodeInserter().apply(PAYLOAD, make_context(5))
-        report = scan_macro(out)
-        assert "broken_code" in report.techniques
+        assert "aa-broken-code" in rule_ids(scan_macro(out))
 
     def test_exit_sub_without_broken_code_is_fine(self):
         source = (
@@ -73,21 +83,21 @@ class TestBrokenCode:
             "    x = 2\n"
             "End Sub\n"
         )
-        assert "broken_code" not in scan_macro(source).techniques
+        assert "aa-broken-code" not in rule_ids(scan_macro(source))
 
     def test_broken_code_without_exit_not_flagged_as_this_technique(self):
         source = "Sub A()\n    Next nothing\nEnd Sub\n"
-        assert "broken_code" not in scan_macro(source).techniques
+        assert "aa-broken-code" not in rule_ids(scan_macro(source))
 
 
 class TestFlowEvasion:
     def test_flow_changer_output_detected(self):
         out = FlowChanger().apply(PAYLOAD, make_context(1))
-        report = scan_macro(out)
+        found = rule_ids(scan_macro(out))
         # Some guards (Now() > date) are time-based and not in the rule set;
         # the environment-check guards must be caught.
         if "If RecentFiles" in out or "Environ" in out or "Windows.Count" in out:
-            assert "flow_evasion" in report.techniques
+            assert "aa-flow-evasion" in found
 
     def test_guard_patterns(self):
         source = (
@@ -97,11 +107,11 @@ class TestFlowEvasion:
             "    End If\n"
             "End Sub\n"
         )
-        assert "flow_evasion" in scan_macro(source).techniques
+        assert "aa-flow-evasion" in rule_ids(scan_macro(source))
 
     def test_environ_outside_condition_not_flagged(self):
         source = 'Sub A()\n    user = Environ("USERNAME")\nEnd Sub\n'
-        assert "flow_evasion" not in scan_macro(source).techniques
+        assert "aa-flow-evasion" not in rule_ids(scan_macro(source))
 
 
 class TestCombined:
@@ -112,6 +122,6 @@ class TestCombined:
         )
         source = FlowChanger().apply(source, context)
         source = BrokenCodeInserter().apply(source, context)
-        report = scan_macro(source)
-        assert "hidden_strings" in report.techniques
-        assert len(report.findings) >= 2
+        findings = scan_macro(source)
+        assert "aa-hidden-strings" in rule_ids(findings)
+        assert len(findings) >= 2

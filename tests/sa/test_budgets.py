@@ -101,6 +101,19 @@ class TestTermination:
         recovery = recover_strings(source, STRICT_SA_BUDGET)
         assert isinstance(recovery, StringRecovery)
 
+    def test_python_errors_of_concrete_operations_widen(self):
+        # 0 ^ -1 and CBool() raised raw Python errors out of the pass.
+        source = (
+            "Sub Odd()\n"
+            "    x = 0 ^ -1\n"
+            "    y = CBool()\n"
+            '    z = "after" & "wards"\n'
+            "End Sub"
+        )
+        recovery = recover_strings(source)
+        assert recovery.values() == ["afterwards"]
+        assert not recovery.exhausted
+
     def test_billion_loop_flags_loop_budget(self):
         recovery = recover_strings(BILLION_LOOP)
         assert recovery.exhausted

@@ -94,6 +94,35 @@ def assert_superset(source: str) -> None:
     )
 
 
+#: Values VBA coerces where a number is expected: an array bound, an
+#: index, and For bounds given as text.
+COERCION_MACROS = (
+    (
+        "Function Bound()\n"
+        '    Dim a("2")\n'
+        '    a(2) = "hello " & "world"\n'
+        '    Bound = a(2) & "!"\n'
+        "End Function"
+    ),
+    (
+        "Function Index()\n"
+        "    Dim a(3)\n"
+        '    a("1") = "hello " & "world"\n'
+        '    Index = a("1") & "!"\n'
+        "End Function"
+    ),
+    (
+        "Function Count()\n"
+        '    s = "a"\n'
+        '    For i = "1" To "3"\n'
+        "        s = s & Chr(97 + i)\n"
+        "    Next i\n"
+        '    Count = s & "efg"\n'
+        "End Function"
+    ),
+)
+
+
 class TestParity:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("base_index", range(len(BASE_MACROS)))
@@ -123,6 +152,12 @@ class TestParity:
         source = StringEncoder(min_length=4, encode_probability=0.8).apply(
             source, context
         )
+        assert_superset(source)
+
+    @pytest.mark.parametrize(
+        "source", COERCION_MACROS, ids=["dim-bound", "index", "for-bounds"]
+    )
+    def test_coerced_numbers_parity(self, source):
         assert_superset(source)
 
     def test_plain_macros_parity(self):

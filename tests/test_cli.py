@@ -125,6 +125,21 @@ class TestScanJson:
         assert 0.0 <= good["macros"][0]["score"] <= 1.0
         assert good["av"]["total_vendors"] > 0
 
+    def test_anti_analysis_lists_aa_rule_ids(self, tmp_path, capsys):
+        from repro.corpus.documents import build_document_bytes
+
+        source = (
+            "Sub Document_Open()\n"
+            '    cmd = ActiveDocument.Variables("k").Value()\n'
+            "    Shell cmd, 0\n"
+            "End Sub\n"
+        )
+        target = tmp_path / "hidden.docm"
+        target.write_bytes(build_document_bytes([source], "docm"))
+        _, records = _scan_json(capsys, target, jobs=1)
+        (listed,) = records[0]["anti_analysis"].values()
+        assert listed == ["aa-hidden-strings"]
+
     def test_jobs_parity(self, scan_directory, capsys):
         _, serial = _scan_json(capsys, scan_directory, jobs=1)
         _, parallel = _scan_json(capsys, scan_directory, jobs=2)

@@ -348,6 +348,51 @@ class TestArraysAndState:
             interp.call("Forever")
 
 
+class TestTotality:
+    """Only VBARuntimeError (or VBAParseError) leaves the interpreter."""
+
+    def test_deep_concat_chain_folds(self):
+        terms = " & ".join(['"ab"'] * 5000)
+        assert run_expr(terms) == "ab" * 5000
+
+    def test_number_too_long_to_print_is_a_runtime_error(self):
+        with pytest.raises(VBARuntimeError):
+            run_expr('(10 ^ 5000) & "x"')
+
+    def test_for_variable_set_to_text_is_a_runtime_error(self):
+        source = (
+            "Function F()\n"
+            "    For i = 1 To 3\n"
+            '        i = "x"\n'
+            "    Next\n"
+            "End Function\n"
+        )
+        with pytest.raises(VBARuntimeError):
+            run_function(source, "F")
+
+    def test_self_recursion_is_a_runtime_error(self):
+        source = 'Function F()\n    F = F() & "a"\nEnd Function\n'
+        with pytest.raises(VBARuntimeError):
+            run_function(source, "F")
+
+    @pytest.mark.parametrize("expression", ["0 ^ -1", "CBool()", "Array(1) & 2"])
+    def test_python_errors_are_runtime_errors(self, expression):
+        with pytest.raises(VBARuntimeError):
+            run_expr(expression)
+
+
+class TestProcedureShadowsBuiltin:
+    SOURCE = (
+        "Function Hex()\n"
+        '    Hex = "shadow"\n'
+        "End Function\n"
+    )
+
+    @pytest.mark.parametrize("expression", ['Hex() & "!"', 'Hex & "!"'])
+    def test_module_procedure_wins_in_both_positions(self, expression):
+        assert run_expr(expression, self.SOURCE) == "shadow!"
+
+
 class TestHostValues:
     def test_hidden_string_lookup(self):
         source = (
