@@ -336,12 +336,8 @@ class RecoverStage(MacroStage):
             macro.feature_digest = normalized_digest(macro.source)
         recovery = self._cache.get(macro.feature_digest)
         if recovery is None:
-            analysis = macro.analysis
             recovery = recover_strings(
-                macro.source,
-                self.sa_budget,
-                self._metrics,
-                tokens=analysis.table if analysis is not None else None,
+                macro.source, self.sa_budget, self._metrics, analysis=macro.analysis
             )
             values = recovery.values()
             signature_hits: tuple[str, ...] = ()

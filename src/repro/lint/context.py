@@ -2,23 +2,26 @@
 
 Rules all walk the same :class:`~repro.vba.analyzer.MacroAnalysis`
 substrate.  The :class:`LintContext` builds, once per macro and in one
-pass over the lexer's token columns, the views they jump through instead
-of re-walking the stream:
+pass over the lexer's token columns, the columns they jump through instead
+of re-walking the stream.  A *position* indexes the significant tokens
+(layout, comments, newlines and EOF dropped), and every column is
+parallel to them:
 
-* ``significant`` — the tokens with layout, comments and EOF dropped;
-* ``words`` — a column parallel to ``significant``: the lower-cased,
-  suffix-stripped text of a name, the text of punctuation or an operator,
-  ``None`` for literals;
-* ``index`` — each word's ascending ``significant`` positions, so a rule
-  starts at its anchor tokens (``Mid``, ``.``, ``Exit``) and tests their
-  neighbours through ``words``;
+* ``kinds``, ``texts``, ``lines`` and ``columns`` — what the lexer's
+  table holds for the position;
+* ``words`` — the lower-cased, suffix-stripped text of a name, the text of
+  punctuation or an operator, ``None`` for literals;
+* ``index`` — each word's ascending positions, so a rule starts at its
+  anchor tokens (``Mid``, ``.``, ``Exit``) and tests their neighbours
+  through ``words``;
 * ``statement_bounds`` — the ``[start, end)`` positions of each logical
   statement, with ``statement_of`` mapping a position back to its
   statement.
 
 Derivations that several rules share (``Const`` declarations, procedure
 headers, ``Dim`` names) are memoized here too, so a full rule sweep is one
-lex pass, one column pass, and anchor lookups.
+lex pass, one column pass, and anchor lookups.  Nothing here builds a
+token object.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from heapq import merge
 from typing import TYPE_CHECKING
 
 from repro.vba.analyzer import MacroAnalysis
-from repro.vba.tokens import Token, TokenKind
+from repro.vba.tokens import TokenKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sa.records import StringRecovery
 
-_NAME_KINDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 _TYPE_SUFFIXES = "%&!#@$"
 
 #: ReDoS / pathological-line guard: the longest physical-line prefix any
@@ -45,46 +47,15 @@ _TYPE_SUFFIXES = "%&!#@$"
 MAX_LINE_SCAN_CHARS = 4096
 
 
-def is_name(token: Token, *names: str) -> bool:
-    """True when the token is an identifier/keyword matching one of ``names``.
-
-    Matching is case-insensitive and ignores a VBA type suffix
-    (``Mid$`` matches ``mid``).
-    """
-    if token.kind not in _NAME_KINDS:
-        return False
-    text = token.text.lower()
-    if text and text[-1] in _TYPE_SUFFIXES:
-        text = text[:-1]
-    return text in names
-
-
-def is_keyword(token: Token, *words: str) -> bool:
-    return token.kind is TokenKind.KEYWORD and token.text.lower() in words
-
-
-def is_punct(token: Token, text: str) -> bool:
-    return token.kind is TokenKind.PUNCT and token.text == text
-
-
-def is_operator(token: Token, *texts: str) -> bool:
-    return token.kind is TokenKind.OPERATOR and token.text in texts
-
-
-def token_span(token: Token) -> tuple[int, int]:
-    """The 1-based ``[start, end)`` column span of a token on its line."""
-    return (token.column, token.column + len(token.text))
-
-
 class LintContext:
-    """Cached views over one macro's analysis, shared across all rules.
+    """Cached columns over one macro's analysis, shared across all rules.
 
-    Word equality stands in for the ``is_*`` predicates: the lexer makes
-    every reserved word a KEYWORD (never suffixed) and every other name an
+    Word equality stands in for kind-and-text tests: the lexer makes every
+    reserved word a KEYWORD (never suffixed) and every other name an
     IDENTIFIER, and punctuation and operator texts are disjoint symbol
-    sets, so ``words[i] == "exit"`` is ``is_keyword(tok, "exit")``,
-    ``words[i] == "("`` is ``is_punct(tok, "(")`` and ``words[i] == "mid"``
-    is ``is_name(tok, "mid")``.
+    sets, so ``words[i] == "exit"`` means the keyword ``Exit``,
+    ``words[i] == "("`` the punctuation ``(`` and ``words[i] == "mid"`` a
+    name ``Mid`` or ``Mid$``.
     """
 
     def __init__(
@@ -101,14 +72,12 @@ class LintContext:
     @cached_property
     def _columns(
         self,
-    ) -> tuple[list[Token], list[str | None], list[tuple[int, int]], list[int]]:
-        """One pass over the lexer's columns: significant tokens, words,
-        statement bounds, strings.
+    ) -> tuple[list[int], list[str | None], list[tuple[int, int]], list[int]]:
+        """One pass over the lexer's columns: the table index of each
+        position, words, statement bounds, strings.
 
         Names take their word from the table's ``words`` column;
-        punctuation and operators their text.  The ``significant`` tokens
-        are the table's shared code-position views (the parser reads the
-        same objects), so the context makes no token of its own.
+        punctuation and operators their text.
 
         Statements break on newlines and on ``:`` separators outside
         parentheses (``DoEvents: i = i + 1`` is two statements); the
@@ -117,12 +86,11 @@ class LintContext:
         one group.
         """
         table = self.analysis.table
-        views = table.code_tokens()
-        significant: list[Token] = []
+        keep: list[int] = []
         words: list[str | None] = []
         bounds: list[tuple[int, int]] = []
         strings: list[int] = []
-        keep = significant.append
+        kept = keep.append
         word_of = words.append
         whitespace = TokenKind.WHITESPACE
         punct = TokenKind.PUNCT
@@ -133,14 +101,14 @@ class LintContext:
         string = TokenKind.STRING
         layout = (TokenKind.LINE_CONTINUATION, TokenKind.COMMENT)
         eof = TokenKind.EOF
-        view = -1  # position in ``views`` of the current code token
         start = depth = 0
         # Branches in order of token frequency in real macros.
-        for kind, text, word in zip(table.kinds, table.texts, table.words):
+        for index, (kind, text, word) in enumerate(
+            zip(table.kinds, table.texts, table.words)
+        ):
             if kind is whitespace:
                 continue
             if kind is punct:
-                view += 1
                 word = text
                 if word == "(":
                     depth += 1
@@ -148,77 +116,86 @@ class LintContext:
                     if depth:
                         depth -= 1
                 elif word == ":" and not depth:
-                    end = len(significant)
+                    end = len(words)
                     if end > start:
                         bounds.append((start, end))
                     start = end + 1
             elif kind is identifier or kind is keyword:
-                view += 1
+                pass
             elif kind is newline:
-                view += 1
-                end = len(significant)
+                end = len(words)
                 if end > start:
                     bounds.append((start, end))
                 start = end
                 continue
             elif kind is operator:
-                view += 1
                 word = text
             elif kind in layout:
                 continue
             elif kind is eof:
                 break
-            else:
-                view += 1
-                if kind is string:
-                    strings.append(len(significant))
-            keep(views[view])
+            elif kind is string:
+                strings.append(len(words))
+            kept(index)
             word_of(word)
-        end = len(significant)
+        end = len(words)
         if end > start:
             bounds.append((start, end))
-        return significant, words, bounds, strings
+        return keep, words, bounds, strings
 
-    @property
-    def significant(self) -> list[Token]:
-        """Tokens with whitespace, continuations, comments and EOF dropped."""
-        return self._columns[0]
+    def _column(self, column: list) -> list:
+        """``column`` of the lexer's table at the positions."""
+        return list(map(column.__getitem__, self._columns[0]))
+
+    @cached_property
+    def kinds(self) -> list[TokenKind]:
+        """Per position, the token kind."""
+        return self._column(self.analysis.table.kinds)
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """Per position, the exact source text."""
+        return self._column(self.analysis.table.texts)
+
+    @cached_property
+    def lines(self) -> list[int]:
+        """Per position, the 1-based line."""
+        return self._column(self.analysis.table.lines)
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """Per position, the 1-based column."""
+        return self._column(self.analysis.table.columns)
 
     @property
     def words(self) -> list[str | None]:
-        """Per ``significant`` position: the name (lower-cased, type suffix
-        dropped), the punctuation or operator text, or ``None``."""
+        """Per position: the name (lower-cased, type suffix dropped), the
+        punctuation or operator text, or ``None``."""
         return self._columns[1]
 
     @property
     def statement_bounds(self) -> list[tuple[int, int]]:
-        """``[start, end)`` ``significant`` positions of each logical
-        statement, in order; separator ``:`` tokens fall between them."""
+        """``[start, end)`` positions of each logical statement, in order;
+        separator ``:`` tokens fall between them."""
         return self._columns[2]
 
     @property
     def strings(self) -> list[int]:
-        """Ascending ``significant`` positions of the string literals."""
+        """Ascending positions of the string literals."""
         return self._columns[3]
 
     @cached_property
-    def statements(self) -> list[list[Token]]:
-        """Significant tokens grouped into logical statements."""
-        significant = self.significant
-        return [significant[start:end] for start, end in self.statement_bounds]
-
-    @cached_property
     def statement_of(self) -> list[int]:
-        """Per ``significant`` position, the number of its statement
-        (``-1`` for a separating ``:``)."""
-        owner = [-1] * len(self.significant)
+        """Per position, the number of its statement (``-1`` for a
+        separating ``:``)."""
+        owner = [-1] * len(self.words)
         for number, (start, end) in enumerate(self.statement_bounds):
             owner[start:end] = [number] * (end - start)
         return owner
 
     @cached_property
     def index(self) -> dict[str, list[int]]:
-        """Each word's ascending ``significant`` positions."""
+        """Each word's ascending positions."""
         positions: defaultdict[str | None, list[int]] = defaultdict(list)
         for position, word in enumerate(self.words):
             positions[word].append(position)
@@ -226,7 +203,7 @@ class LintContext:
         return dict(positions)
 
     def positions(self, *words: str) -> list[int]:
-        """Ascending ``significant`` positions of any of ``words``."""
+        """Ascending positions of any of ``words``."""
         index = self.index
         hits = [index[word] for word in words if word in index]
         if len(hits) == 1:
@@ -242,15 +219,15 @@ class LintContext:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def first_identifier(self, name: str) -> Token | None:
-        """The first IDENTIFIER token whose lower-cased text is ``name``
-        (lower-case), for locating declarations."""
+    def first_identifier(self, name: str) -> int | None:
+        """The position of the first IDENTIFIER whose lower-cased text is
+        ``name`` (lower-case), for locating declarations."""
         word = name[:-1] if name and name[-1] in _TYPE_SUFFIXES else name
-        significant = self.significant
+        kinds = self.kinds
+        texts = self.texts
         for position in self.index.get(word, ()):
-            token = significant[position]
-            if token.kind is TokenKind.IDENTIFIER and token.text.lower() == name:
-                return token
+            if kinds[position] is TokenKind.IDENTIFIER and texts[position].lower() == name:
+                return position
         return None
 
     def _statement_head(self, position: int, prefixes: tuple[str, ...]) -> int:
@@ -272,7 +249,7 @@ class LintContext:
         with multiple comma-separated items per statement.
         """
         words = self.words
-        significant = self.significant
+        kinds = self.kinds
         identifier = TokenKind.IDENTIFIER
         string = TokenKind.STRING
         found: list[tuple[int, int]] = []
@@ -283,7 +260,7 @@ class LintContext:
             end = self.statement_bounds[number][1]
             index = position + 1
             while index < end:
-                if significant[index].kind is not identifier:
+                if kinds[index] is not identifier:
                     break
                 name = index
                 index += 1
@@ -295,7 +272,7 @@ class LintContext:
                 value = -1
                 if (
                     index < end
-                    and significant[index].kind is string
+                    and kinds[index] is string
                     and (index + 1 >= end or words[index + 1] == ",")
                 ):
                     value = index
@@ -317,7 +294,6 @@ class LintContext:
         their liveness.
         """
         words = self.words
-        significant = self.significant
         bounds = self.statement_bounds
         owner = self.statement_of
         headers: dict[int, tuple[str, int]] = {}
@@ -333,7 +309,7 @@ class LintContext:
                 head += 1
             if head != position or position + 1 >= end:
                 continue
-            if significant[position + 1].kind is TokenKind.IDENTIFIER:
+            if self.kinds[position + 1] is TokenKind.IDENTIFIER:
                 headers[number] = (visibility, position + 1)
         return headers
 
@@ -341,7 +317,7 @@ class LintContext:
     def dim_names(self) -> list[int]:
         """Positions of the names a ``Dim``/``Static`` statement declares."""
         words = self.words
-        significant = self.significant
+        kinds = self.kinds
         identifier = TokenKind.IDENTIFIER
         names: list[int] = []
         for position in self.positions("dim", "static"):
@@ -362,7 +338,7 @@ class LintContext:
                 elif word == "as":
                     expecting_name = False
                 elif (
-                    significant[index].kind is identifier
+                    kinds[index] is identifier
                     and expecting_name
                     and depth == 0
                 ):
@@ -381,9 +357,9 @@ class LintContext:
             return lines[line - 1][:MAX_LINE_SCAN_CHARS].strip()
         return ""
 
-    def evidence(self, token: Token, limit: int = 120) -> str:
-        """Trimmed source line of ``token``, capped to ``limit`` characters."""
-        text = self.line_text(token.line)
+    def evidence(self, position: int, limit: int = 120) -> str:
+        """Trimmed source line of ``position``, capped to ``limit`` characters."""
+        text = self.line_text(self.lines[position])
         if len(text) > limit:
             text = text[: limit - 1] + "…"
         return text

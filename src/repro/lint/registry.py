@@ -24,10 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
-from repro.lint.context import LintContext, token_span
+from repro.lint.context import LintContext
 from repro.lint.findings import O_CLASSES, SEVERITIES, Finding, sort_findings
 from repro.vba.analyzer import MacroAnalysis, analyze
-from repro.vba.tokens import Token
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sa.records import StringRecovery
@@ -51,21 +50,24 @@ class Rule:
     def finding(
         self,
         ctx: LintContext,
-        token: Token,
+        position: int,
         message: str,
         *,
         severity: str | None = None,
         evidence: str | None = None,
     ) -> Finding:
-        """Build a finding anchored at ``token`` with this rule's metadata."""
+        """Build a finding anchored at the token at ``position`` with this
+        rule's metadata; its span is the token's 1-based ``[start, end)``
+        columns."""
+        column = ctx.columns[position]
         return Finding(
             rule_id=self.rule_id,
             o_class=self.o_class,
             severity=severity or self.severity,
-            line=token.line,
-            span=token_span(token),
+            line=ctx.lines[position],
+            span=(column, column + len(ctx.texts[position])),
             message=message,
-            evidence=ctx.evidence(token) if evidence is None else evidence,
+            evidence=ctx.evidence(position) if evidence is None else evidence,
         )
 
 

@@ -15,8 +15,7 @@ import re
 from repro.lint.context import LintContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
-from repro.vba.parser import VBAParseError, parse_module
-from repro.vba.tokens import Token, TokenKind
+from repro.vba.tokens import TokenKind, string_value
 
 _USERFORM = re.compile(r"userform\d*\Z")
 
@@ -49,35 +48,35 @@ class HiddenStringRead(Rule):
     description = "string data read from document storage instead of a literal"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
+        texts = ctx.texts
         words = ctx.words
-        last = len(tokens) - 1
+        last = len(words) - 1
         for index in ctx.index.get(".", ()):
             if index >= last:
                 continue
             member = words[index + 1]
             if member in _CALL_MEMBERS and index + 2 <= last and words[index + 2] == "(":
-                yield self._read(ctx, tokens[index], f".{tokens[index + 1].text}(")
+                yield self._read(ctx, index, f".{texts[index + 1]}(")
             elif member in _PROPERTY_MEMBERS:
-                yield self._read(ctx, tokens[index], f".{tokens[index + 1].text}")
+                yield self._read(ctx, index, f".{texts[index + 1]}")
         for word, positions in ctx.index.items():
             if not word.startswith("userform"):
                 continue
             for index in positions:
-                token = tokens[index]
                 if (
-                    token.kind is TokenKind.IDENTIFIER
-                    and _USERFORM.match(token.text.lower())
+                    kinds[index] is TokenKind.IDENTIFIER
+                    and _USERFORM.match(texts[index].lower())
                     and index + 2 <= last
                     and words[index + 1] == "."
-                    and tokens[index + 2].kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+                    and kinds[index + 2] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
                 ):
                     yield self._read(
-                        ctx, token, f"{token.text}.{tokens[index + 2].text}"
+                        ctx, index, f"{texts[index]}.{texts[index + 2]}"
                     )
 
-    def _read(self, ctx: LintContext, token: Token, expr: str) -> Finding:
-        return self.finding(ctx, token, f"document-storage read: {expr!r}")
+    def _read(self, ctx: LintContext, position: int, expr: str) -> Finding:
+        return self.finding(ctx, position, f"document-storage read: {expr!r}")
 
 
 @register_rule
@@ -87,7 +86,10 @@ class BrokenCodeShadow(Rule):
     The signature is an ``Exit Sub``/``Exit Function`` followed by
     statements (before ``End Sub``) that the strict parser rejects while
     the prefix up to the exit parses fine — broken junk that never runs
-    but crashes naive parsers.
+    but crashes naive parsers.  The strict parser's error is the first one
+    the macro's cached tolerant parse got past
+    (:meth:`~repro.vba.analyzer.MacroAnalysis.ensure_parse`); nesting too
+    deep to parse leaves no error, and the rule silent.
     """
 
     rule_id = "aa-broken-code"
@@ -96,34 +98,33 @@ class BrokenCodeShadow(Rule):
     description = "unparseable statements hidden behind an early Exit"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
         words = ctx.words
-        exit_lines = [
-            tokens[index].line
+        exits = [
+            index
             for index in ctx.index.get("exit", ())
-            if index + 1 < len(tokens) and words[index + 1] in ("sub", "function")
+            if index + 1 < len(words) and words[index + 1] in ("sub", "function")
         ]
-        if not exit_lines:
+        if not exits:
             return
-        try:
-            parse_module(ctx.analysis.source, tokens=ctx.analysis.table)
+        error = ctx.analysis.ensure_parse().error
+        if error is None:
             return  # everything parses: nothing broken after the exit
-        except VBAParseError as error:
-            for exit_line in exit_lines:
-                if error.line > exit_line:
-                    yield Finding(
-                        rule_id=self.rule_id,
-                        o_class=self.o_class,
-                        severity=self.severity,
-                        line=error.line,
-                        span=(1, max(2, len(ctx.line_text(error.line)) + 1)),
-                        message=(
-                            f"unparseable statement at line {error.line} is "
-                            f"shadowed by Exit at line {exit_line}: {error}"
-                        ),
-                        evidence=ctx.line_text(error.line),
-                    )
-                    return
+        for index in exits:
+            exit_line = ctx.lines[index]
+            if error.line > exit_line:
+                yield Finding(
+                    rule_id=self.rule_id,
+                    o_class=self.o_class,
+                    severity=self.severity,
+                    line=error.line,
+                    span=(1, max(2, len(ctx.line_text(error.line)) + 1)),
+                    message=(
+                        f"unparseable statement at line {error.line} is "
+                        f"shadowed by Exit at line {exit_line}: {error}"
+                    ),
+                    evidence=ctx.line_text(error.line),
+                )
+                return
 
 
 @register_rule
@@ -146,26 +147,23 @@ class FlowEvasionGuard(Rule):
         guarded = sorted(
             {owner[index] for index in ctx.positions(*_CONDITION_KEYWORDS)}
         )
-        tokens = ctx.significant
         words = ctx.words
         for number in guarded:
             start, end = ctx.statement_bounds[number]
             for index in range(start, end):
                 if words[index] in _PROBE_ANCHORS and self._is_probe(
-                    tokens, words, start, end, index
+                    ctx, start, end, index
                 ):
-                    token = tokens[index]
                     yield self.finding(
                         ctx,
-                        token,
+                        index,
                         "environment-check guard: "
-                        f"{ctx.line_text(token.line)!r}",
+                        f"{ctx.line_text(ctx.lines[index])!r}",
                     )
 
     @staticmethod
-    def _is_probe(
-        tokens: list[Token], words: list, start: int, end: int, index: int
-    ) -> bool:
+    def _is_probe(ctx: LintContext, start: int, end: int, index: int) -> bool:
+        words = ctx.words
         word = words[index]
         nxt = words[index + 1] if index + 1 < end else None
         nxt2 = words[index + 2] if index + 2 < end else None
@@ -192,6 +190,6 @@ class FlowEvasionGuard(Rule):
         return (
             nxt == "("
             and index + 2 < end
-            and tokens[index + 2].kind is TokenKind.STRING
-            and tokens[index + 2].string_value.upper() in ("USERNAME", "COMPUTERNAME")
+            and ctx.kinds[index + 2] is TokenKind.STRING
+            and string_value(ctx.texts[index + 2]).upper() in ("USERNAME", "COMPUTERNAME")
         )

@@ -73,12 +73,12 @@ class GibberishIdentifier(Rule):
         for name in ctx.analysis.declared_identifiers:
             if not looks_machine_generated(name):
                 continue
-            token = ctx.first_identifier(name.lower())
-            if token is None:
+            position = ctx.first_identifier(name.lower())
+            if position is None:
                 continue
             yield self.finding(
                 ctx,
-                token,
+                position,
                 f"identifier {name!r} looks machine-generated",
             )
 
@@ -103,12 +103,12 @@ class NamingProfile(Rule):
             return
         if not all(len(name) >= 6 and name == name.lower() for name in declared):
             return
-        token = ctx.first_identifier(declared[0].lower())
-        if token is None:
+        position = ctx.first_identifier(declared[0].lower())
+        if position is None:
             return
         yield self.finding(
             ctx,
-            token,
+            position,
             f"all {len(declared)} declared identifiers are long caseless "
             "names — bulk-renaming profile",
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import TokenKind
+from repro.vba.tokens import TokenKind, string_value
 
 _CONCAT = ("&", "+")
 
@@ -38,40 +38,41 @@ class LiteralConcatenation(Rule):
     _MAX_FRAGMENT = 4
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
+        texts = ctx.texts
         words = ctx.words
         owner = ctx.statement_of
         string = TokenKind.STRING
-        last = len(tokens) - 1
+        last = len(words) - 1
 
         def joins(index: int) -> bool:
             """A concat operator then a literal follow ``index`` in its statement."""
             return (
                 index + 2 <= last
                 and words[index + 1] in _CONCAT
-                and tokens[index + 2].kind is string
+                and kinds[index + 2] is string
                 and owner[index + 2] == owner[index]
             )
 
         for index in ctx.strings:
             if not joins(index) or (
-                index >= 2 and tokens[index - 2].kind is string and joins(index - 2)
+                index >= 2 and kinds[index - 2] is string and joins(index - 2)
             ):
                 continue  # no chain here, or the middle of an earlier one
-            literals = [tokens[index], tokens[index + 2]]
+            literals = [texts[index], texts[index + 2]]
             end = index + 2
             while joins(end):
-                literals.append(tokens[end + 2])
+                literals.append(texts[end + 2])
                 end += 2
             short_pair = any(
-                len(a.string_value) <= self._MAX_FRAGMENT
-                and len(b.string_value) <= self._MAX_FRAGMENT
+                len(string_value(a)) <= self._MAX_FRAGMENT
+                and len(string_value(b)) <= self._MAX_FRAGMENT
                 for a, b in zip(literals, literals[1:])
             )
             if short_pair:
                 yield self.finding(
                     ctx,
-                    tokens[index],
+                    index,
                     f"{len(literals)} string literals concatenated "
                     "back-to-back from short fragments (split-string "
                     "reassembly)",
@@ -88,14 +89,14 @@ class FragmentConstant(Rule):
     description = "Const holds a tiny string fragment of a split literal"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        texts = ctx.texts
         for name, value in ctx.const_declarations:
-            text = tokens[value].string_value
+            text = string_value(texts[value])
             if 0 < len(text) <= 2:
                 yield self.finding(
                     ctx,
-                    tokens[name],
-                    f"constant {tokens[name].text!r} holds the "
+                    name,
+                    f"constant {texts[name]!r} holds the "
                     f"{len(text)}-char fragment {text!r}",
                 )
 
@@ -114,16 +115,15 @@ class DummyStringConstant(Rule):
     description = "unused dummy string constant"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        texts = ctx.texts
         for name, value in ctx.const_declarations:
-            if len(tokens[value].string_value) < 3:
+            if len(string_value(texts[value])) < 3:
                 continue  # fragments are the other rule's business
-            name_token = tokens[name]
-            if ctx.use_counts.get(name_token.text.lower(), 0) == 0:
+            if ctx.use_counts.get(texts[name].lower(), 0) == 0:
                 yield self.finding(
                     ctx,
-                    name_token,
-                    f"string constant {name_token.text!r} is never read "
+                    name,
+                    f"string constant {texts[name]!r} is never read "
                     "(dummy string)",
                 )
 
@@ -144,18 +144,17 @@ class CarvedLiteral(Rule):
     _CARVERS = ("mid", "left", "right", "strreverse")
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
         words = ctx.words
         for index in ctx.positions(*self._CARVERS):
             if (
-                index + 2 < len(tokens)
+                index + 2 < len(words)
                 and words[index + 1] == "("
-                and tokens[index + 2].kind is TokenKind.STRING
+                and kinds[index + 2] is TokenKind.STRING
             ):
-                token = tokens[index]
                 yield self.finding(
                     ctx,
-                    token,
-                    f"{token.text}() carves data out of a string literal "
+                    index,
+                    f"{ctx.texts[index]}() carves data out of a string literal "
                     "at runtime",
                 )

@@ -14,7 +14,7 @@ from bisect import bisect_left
 
 from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import Token, TokenKind
+from repro.vba.tokens import TokenKind, string_value
 
 _CHR_NAMES = ("chr", "chrw", "chrb")
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -50,29 +50,30 @@ class ChrChain(Rule):
     description = "string assembled from a chain of Chr() character codes"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
         words = ctx.words
         owner = ctx.statement_of
         current = -1
-        first: Token | None = None
+        first = -1
         count = 0
         for index in ctx.positions(*_CHR_NAMES):
             number = owner[index]
             if number != current:
                 if count >= 3:
                     yield self._chain(ctx, first, count)
-                current, first, count = number, None, 0
+                current, first, count = number, -1, 0
             if (
                 index + 2 < ctx.statement_bounds[number][1]
                 and words[index + 1] == "("
-                and tokens[index + 2].kind is TokenKind.NUMBER
+                and kinds[index + 2] is TokenKind.NUMBER
             ):
                 count += 1
-                first = first or tokens[index]
+                if first < 0:
+                    first = index
         if count >= 3:
             yield self._chain(ctx, first, count)
 
-    def _chain(self, ctx: LintContext, first: Token, count: int):
+    def _chain(self, ctx: LintContext, first: int, count: int):
         return self.finding(
             ctx,
             first,
@@ -90,21 +91,21 @@ class NumericArray(Rule):
     description = "long all-numeric Array() literal (encoded payload bytes)"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
         words = ctx.words
         for index in ctx.index.get("array", ()):
-            if index + 1 >= len(tokens) or words[index + 1] != "(":
+            if index + 1 >= len(words) or words[index + 1] != "(":
                 continue
-            close = _argument_end(words, index + 1, len(tokens))
+            close = _argument_end(words, index + 1, len(words))
             body = range(index + 2, close)
-            numbers = sum(1 for i in body if tokens[i].kind is TokenKind.NUMBER)
+            numbers = kinds[index + 2 : close].count(TokenKind.NUMBER)
             separators = words[index + 2 : close].count(",")
             if numbers >= 4 and numbers == separators + 1 and len(body) == (
                 numbers + separators
             ):
                 yield self.finding(
                     ctx,
-                    tokens[index],
+                    index,
                     f"Array() of {numbers} plain numbers looks like encoded "
                     "payload bytes",
                 )
@@ -128,7 +129,7 @@ class DecodeLoop(Rule):
         anchors = ctx.positions(*_CHR_NAMES)
         if not anchors:
             return
-        tokens = ctx.significant
+        kinds = ctx.kinds
         words = ctx.words
         depth = 0
         for start, end in ctx.statement_bounds:
@@ -146,21 +147,21 @@ class DecodeLoop(Rule):
                 if words[index + 1] != "(":
                     continue
                 close = _argument_end(words, index + 1, end)
-                if self._is_computed(tokens, words, index + 2, close):
+                if self._is_computed(kinds, words, index + 2, close):
                     yield self.finding(
                         ctx,
-                        tokens[index],
+                        index,
                         "Chr() over a computed value inside a loop — "
                         "runtime string decoder",
                     )
                     break
 
     @staticmethod
-    def _is_computed(tokens: list[Token], words: list, start: int, end: int) -> bool:
+    def _is_computed(kinds: list, words: list, start: int, end: int) -> bool:
         if end - start <= 1:
             return False  # bare number / bare name is not a decode
         return any(
-            tokens[index].kind is TokenKind.OPERATOR or words[index] in _COMPUTING_WORDS
+            kinds[index] is TokenKind.OPERATOR or words[index] in _COMPUTING_WORDS
             for index in range(start, end)
         )
 
@@ -175,10 +176,9 @@ class HexPackedLiteral(Rule):
     description = "string literal packed as hexadecimal byte pairs"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        texts = ctx.texts
         for index in ctx.strings:
-            token = tokens[index]
-            value = token.string_value
+            value = string_value(texts[index])
             if (
                 len(value) >= 8
                 and len(value) % 2 == 0
@@ -186,7 +186,7 @@ class HexPackedLiteral(Rule):
             ):
                 yield self.finding(
                     ctx,
-                    token,
+                    index,
                     f"{len(value)}-char literal is a pure hex-digit run "
                     f"({len(value) // 2} packed bytes)",
                 )
@@ -202,10 +202,9 @@ class Base64ShapedLiteral(Rule):
     description = "string literal shaped like Base64 data"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        texts = ctx.texts
         for index in ctx.strings:
-            token = tokens[index]
-            value = token.string_value
+            value = string_value(texts[index])
             stripped = value.rstrip("=")
             if len(value) - len(stripped) > 2:
                 continue
@@ -218,7 +217,7 @@ class Base64ShapedLiteral(Rule):
             ):
                 yield self.finding(
                     ctx,
-                    token,
+                    index,
                     f"{len(value)}-char literal matches the Base64 shape",
                 )
 
@@ -238,22 +237,22 @@ class ReplaceMarkerDecode(Rule):
     description = "Replace() with all-literal arguments strips an inserted marker"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
         words = ctx.words
         string = TokenKind.STRING
         for index in ctx.index.get("replace", ()):
             if (
-                index + 6 < len(tokens)
+                index + 6 < len(words)
                 and words[index + 1] == "("
-                and tokens[index + 2].kind is string
+                and kinds[index + 2] is string
                 and words[index + 3] == ","
-                and tokens[index + 4].kind is string
+                and kinds[index + 4] is string
                 and words[index + 5] == ","
-                and tokens[index + 6].kind is string
+                and kinds[index + 6] is string
             ):
                 yield self.finding(
                     ctx,
-                    tokens[index],
+                    index,
                     "Replace() over three string literals — marker-decode of "
                     "a constant",
                 )

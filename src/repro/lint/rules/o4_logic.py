@@ -47,17 +47,16 @@ class DeadProcedure(Rule):
     description = "private procedure is never invoked (dead junk code)"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        texts = ctx.texts
         for visibility, name in ctx.procedure_headers.values():
-            name_token = tokens[name]
-            lowered = name_token.text.lower()
+            lowered = texts[name].lower()
             if visibility != "private" or lowered in _HOST_ENTRY_POINTS:
                 continue
             if ctx.use_counts.get(lowered, 0) == 0:
                 yield self.finding(
                     ctx,
-                    name_token,
-                    f"private procedure {name_token.text!r} is never called",
+                    name,
+                    f"private procedure {texts[name]!r} is never called",
                 )
 
 
@@ -71,14 +70,13 @@ class UnusedVariable(Rule):
     description = "declared variable is never used (dummy declaration)"
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        texts = ctx.texts
         for name in ctx.dim_names:
-            name_token = tokens[name]
-            if ctx.use_counts.get(name_token.text.lower(), 0) == 0:
+            if ctx.use_counts.get(texts[name].lower(), 0) == 0:
                 yield self.finding(
                     ctx,
-                    name_token,
-                    f"variable {name_token.text!r} is declared but never used",
+                    name,
+                    f"variable {texts[name]!r} is declared but never used",
                 )
 
 
@@ -124,7 +122,7 @@ class UnreachableCode(Rule):
             if pending_exit:
                 yield self.finding(
                     ctx,
-                    ctx.significant[start],
+                    start,
                     "statement is unreachable: an unconditional Exit "
                     "precedes it",
                 )
@@ -154,7 +152,8 @@ class NoOpArithmetic(Rule):
     _IDENTITIES = {"+": "0", "-": "0", "*": "1", "/": "1", "\\": "1", "^": "1"}
 
     def scan(self, ctx: LintContext):
-        tokens = ctx.significant
+        kinds = ctx.kinds
+        texts = ctx.texts
         words = ctx.words
         bounds = ctx.statement_bounds
         owner = ctx.statement_of
@@ -164,25 +163,24 @@ class NoOpArithmetic(Rule):
             if (
                 end - start == 3
                 and index == start + 1
-                and tokens[start].kind is identifier
-                and tokens[start + 2].kind is identifier
-                and tokens[start].text.lower() == tokens[start + 2].text.lower()
+                and kinds[start] is identifier
+                and kinds[start + 2] is identifier
+                and texts[start].lower() == texts[start + 2].lower()
             ):
                 yield self.finding(
                     ctx,
-                    tokens[start],
-                    f"self-assignment {tokens[start].text!r} = "
-                    f"{tokens[start + 2].text!r} has no effect",
+                    start,
+                    f"self-assignment {texts[start]!r} = "
+                    f"{texts[start + 2]!r} has no effect",
                 )
         for index in ctx.positions(*self._IDENTITIES):
             follower = index + 1
             if (
-                follower < len(tokens)
+                follower < len(words)
                 and owner[follower] == owner[index]
-                and tokens[follower].kind is TokenKind.NUMBER
-                and tokens[follower].text == self._IDENTITIES[words[index]]
+                and kinds[follower] is TokenKind.NUMBER
+                and texts[follower] == self._IDENTITIES[words[index]]
             ):
-                token = tokens[index]
                 yield self.finding(
-                    ctx, token, f"'{token.text} {tokens[follower].text}' is a no-op"
+                    ctx, index, f"'{texts[index]} {texts[follower]}' is a no-op"
                 )

@@ -59,7 +59,8 @@ from repro.vba.builtins import (
     _to_vba_string,
     _truthy,
 )
-from repro.vba.parser import VBAParseError, parse_module
+from repro.vba.analyzer import MacroAnalysis
+from repro.vba.parser import parse_tolerant
 
 
 class _BudgetExhausted(Exception):
@@ -94,6 +95,9 @@ _MAX_HAVOC_PASSES = 8
 #: builtins whose output size is driven by an integer argument — precheck
 #: the count against the string-length budget before calling
 _SIZE_PRODUCING = frozenset({"space", "string", "string$"})
+
+#: decimal digits per bit, to size an integer result from its operands
+_LOG10_2 = math.log10(2)
 
 #: widening reasons that are budget caps: they flag the result exhausted
 _BUDGET_CAPS = frozenset(
@@ -704,11 +708,9 @@ class AbstractInterpreter:
                 if len(left) + len(right) > self.budget.max_string_length:
                     return self._widen("string_length", line)
                 return left + right
-            return _as_number(left, line) + _as_number(right, line)
-        if op == "-":
-            return _as_number(left, line) - _as_number(right, line)
-        if op == "*":
-            return _as_number(left, line) * _as_number(right, line)
+            return self._grow(op, _as_number(left, line), _as_number(right, line), line)
+        if op == "-" or op == "*":
+            return self._grow(op, _as_number(left, line), _as_number(right, line), line)
         if op == "/":
             divisor = _as_number(right, line)
             if divisor == 0:
@@ -752,6 +754,24 @@ class AbstractInterpreter:
             return _as_int(left, line) ^ _as_int(right, line)
         return self._widen(f"unsupported operator {op!r}", line)
 
+    def _grow(self, op: str, left: int | float, right: int | float, line: int) -> object:
+        """``left + right``, ``left - right`` or ``left * right``, unless the
+        operands' bit lengths say the integer result would outgrow the
+        longest string the budget materializes (the rule ``^`` follows):
+        then it widens before computing."""
+        if type(left) is int and type(right) is int:
+            if op == "*":
+                bits = left.bit_length() + right.bit_length()
+            else:
+                bits = max(left.bit_length(), right.bit_length()) + 1
+            if bits * _LOG10_2 > self.budget.max_string_length:
+                return self._widen("number_size", line)
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        return left * right
+
 
 def _span(start: int | float, end: int | float, step: int | float) -> float:
     """A For loop's trip span, ``(end - start) / step``; ∞ past a float."""
@@ -788,7 +808,7 @@ def recover_strings(
     source: str,
     budget: SABudget | None = None,
     metrics=NULL_REGISTRY,
-    tokens=None,
+    analysis: MacroAnalysis | None = None,
 ) -> StringRecovery:
     """Statically recover hidden strings from one macro's source.
 
@@ -796,15 +816,15 @@ def recover_strings(
     recursion limits all degrade into the returned
     :class:`~repro.sa.records.StringRecovery` rather than raising.
 
-    ``tokens`` optionally carries ``source``'s already-lexed
-    :class:`~repro.vba.lexer.TokenTable` (the engine's analyze stage keeps
-    one), skipping the re-tokenization that otherwise dominates the pass;
-    the parse reads the table's shared views.
+    ``analysis`` optionally carries ``source``'s
+    :class:`~repro.vba.analyzer.MacroAnalysis` (the engine's analyze stage
+    keeps one): the pass then folds its cached tolerant parse, which the
+    lint rules share, instead of lexing and parsing ``source`` again.
     """
     budget = budget or DEFAULT_SA_BUDGET
-    try:
-        module = parse_module(source, tolerant=True, tokens=tokens)
-    except (VBAParseError, RecursionError):
+    parsed = parse_tolerant(source) if analysis is None else analysis.ensure_parse()
+    module = parsed.module
+    if module is None:
         metrics.counter("sa.parse_failed").inc()
         return StringRecovery(parse_failed=True)
     interpreter = AbstractInterpreter(module, budget)

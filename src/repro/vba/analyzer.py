@@ -33,6 +33,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
+from string import ascii_letters
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from repro.vba.functions import (
     TYPE_CONVERSION_FUNCTIONS,
 )
 from repro.vba.lexer import TokenTable, lex
+from repro.vba.parser import ModuleParse, parse_tolerant
 from repro.vba.tokens import STRING_CONCAT_OPERATORS, Token, TokenKind, string_value
 
 # Keywords that introduce a procedure whose following identifier is the
@@ -83,7 +85,10 @@ CATALOG_ORDER: tuple[frozenset[str], ...] = (
 _HIST_BINS = 129
 _HIST_OVERFLOW = 128
 
-_VOWELS = frozenset("aeiouAEIOU")
+#: ``_is_human_readable``'s tests, over ASCII words.
+_DROP_LETTERS = str.maketrans("", "", ascii_letters)
+_VOWEL = re.compile("[aeiouAEIOU]")
+_CONSONANT_RUN = re.compile("[b-df-hj-np-tv-zB-DF-HJ-NP-TV-Z]{4}")
 
 
 @dataclass(slots=True)
@@ -111,6 +116,15 @@ class MacroAnalysis:
     procedure_names: list[str] = field(default_factory=list)
     #: lazily-built array-backed digest for the batch feature kernels
     summary: "AnalysisSummary | None" = field(default=None, compare=False)
+    #: lazily-built tolerant parse, shared by the SA and the lint rules;
+    #: process-local: a pickled analysis travels without it (a kept
+    #: ``VBAParseError`` cannot be unpickled, and the AST is rebuilt cheaply)
+    module_parse: ModuleParse | None = field(default=None, compare=False)
+
+    def __getstate__(self):
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["module_parse"] = None
+        return None, state
 
     @property
     def tokens(self) -> list[Token]:
@@ -169,6 +183,14 @@ class MacroAnalysis:
         if self.summary is None:
             self.summary = summarize(self)
         return self.summary
+
+    def ensure_parse(self) -> ModuleParse:
+        """The cached tolerant parse of :attr:`source` and the first parse
+        error it got past (:func:`~repro.vba.parser.parse_tolerant`), built
+        on first access from :attr:`table`."""
+        if self.module_parse is None:
+            self.module_parse = parse_tolerant(self.source, self.table)
+        return self.module_parse
 
 
 @dataclass(slots=True)
@@ -379,24 +401,15 @@ def _is_human_readable(word: str) -> bool:
 
     Heuristic: mostly letters, contains a vowel, not absurdly long, and no
     long consonant run (pronounceable English never stacks 4+ consonants the
-    way ``rjzybhqrliy``-style random identifiers do).
+    way ``rjzybhqrliy``-style random identifiers do).  ``word`` is one of
+    :data:`_WORD_PATTERN`'s ASCII words, so a letter is ``[A-Za-z]``.
     """
     if not word or len(word) > 15:
         return False
-    letters = sum(1 for ch in word if ch.isalpha())
+    letters = len(word) - len(word.translate(_DROP_LETTERS))
     if letters < len(word) * 0.5:
         return False
-    if not any(ch in _VOWELS for ch in word):
-        return False
-    run = 0
-    for ch in word:
-        if ch.isalpha() and ch not in _VOWELS:
-            run += 1
-            if run >= 4:
-                return False
-        else:
-            run = 0
-    return True
+    return _VOWEL.search(word) is not None and _CONSONANT_RUN.search(word) is None
 
 
 def _argument_lengths(table: TokenTable) -> list[int]:

@@ -59,10 +59,10 @@ _REST_OF_LINE = re.compile(r"[^\r\n]*")
 
 _KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
 
-#: Positions the parser never reads, and the only ones that get no view on
-#: an analysis path: everything else (NEWLINE and EOF included) is a
-#: "code" position.  A tuple: ``in`` compares members by identity, where a
-#: set would call ``Enum.__hash__`` in Python for every token.
+#: Positions the parser never reads: everything else (NEWLINE and EOF
+#: included) is a "code" position.  A tuple: ``in`` compares members by
+#: identity, where a set would call ``Enum.__hash__`` in Python for every
+#: token.
 LAYOUT_KINDS = (TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.LINE_CONTINUATION)
 
 # ``Token`` is a frozen slots dataclass, whose generated ``__init__`` makes
@@ -91,12 +91,11 @@ class TokenTable:
     ``kinds``, ``texts``, ``lines`` and ``columns`` hold what a
     :class:`Token` holds; ``words`` holds the lower-cased name without its
     type suffix for an IDENTIFIER or KEYWORD and ``None`` otherwise.
-    Consumers that only need kinds and texts walk the columns; the ones
-    that need objects (the parser, the lint rules, the interpreters) ask
-    for views, which are built at most once per position.
+    The analyzer, the parser and the lint context walk the columns; callers
+    that want objects ask for :meth:`tokens`, whose views are built once.
     """
 
-    __slots__ = ("kinds", "texts", "lines", "columns", "words", "_tokens", "_code")
+    __slots__ = ("kinds", "texts", "lines", "columns", "words", "_tokens")
 
     def __init__(
         self,
@@ -112,7 +111,6 @@ class TokenTable:
         self.columns = columns
         self.words = words
         self._tokens: list[Token] | None = None
-        self._code: list[Token] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TokenTable):
@@ -131,22 +129,6 @@ class TokenTable:
                 map(_token, self.kinds, self.texts, self.lines, self.columns)
             )
         return self._tokens
-
-    def code_tokens(self) -> list[Token]:
-        """Views of the code positions (all but whitespace, comments and
-        continuations), built on first call: the parser's token stream,
-        shared by every parse and the lint context of one macro."""
-        if self._code is None:
-            view = _token
-            layout = LAYOUT_KINDS
-            self._code = [
-                view(kind, text, line, column)
-                for kind, text, line, column in zip(
-                    self.kinds, self.texts, self.lines, self.columns
-                )
-                if kind not in layout
-            ]
-        return self._code
 
 
 def lex(source: str) -> TokenTable:

@@ -8,9 +8,12 @@ a practical subset of [MS-VBAL] — into the AST of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import compress
+
 from repro.vba import ast_nodes as ast
-from repro.vba.lexer import TokenTable, lex
-from repro.vba.tokens import Token, TokenKind
+from repro.vba.lexer import LAYOUT_KINDS, TokenTable, lex
+from repro.vba.tokens import TokenKind, string_value
 
 
 class VBAParseError(Exception):
@@ -30,7 +33,7 @@ _MODIFIER_KEYWORDS = frozenset({"public", "private", "friend", "global", "static
 #: Binding power of each binary operator (lower-cased keyword or operator
 #: text, which is also its AST name).  Looser binds lower; prefix ``Not``
 #: sits at 4, between ``And`` and the comparisons.  Unary ``-``/``+`` and
-#: ``^`` bind tighter than all of these (``_parse_unary``/``_parse_power``).
+#: ``^`` bind tighter than all of these (``_parse_unary``).
 _BINARY_BP = {
     "imp": 1, "eqv": 1,
     "or": 2, "xor": 2,
@@ -43,6 +46,7 @@ _BINARY_BP = {
     "*": 10, "/": 10,
 }
 _NOT_BP = 4
+_NAME_KINDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 
 
 def parse_module(
@@ -61,9 +65,47 @@ def parse_module(
     keeps its :class:`~repro.vba.lexer.TokenTable`) skip the
     re-tokenization, which dominates parse cost on large modules.  It must
     be the table :func:`~repro.vba.lexer.lex` built for exactly
-    ``source``; the parser reads the table's shared code-position views.
+    ``source``; the parser reads the table's columns.
     """
     return _Parser(source, tolerant=tolerant, tokens=tokens).parse_module()
+
+
+@dataclass(frozen=True, slots=True)
+class ModuleParse:
+    """One tolerant parse of a module and the first error it got past.
+
+    ``module`` is ``None`` when the parse failed outright (a file truncated
+    inside a procedure, or nesting past Python's recursion limit).
+    ``error`` is the first :class:`VBAParseError` the parse raised: the
+    tolerant parse reads its mode only in its two ``except`` handlers, so up
+    to that error it takes the strict parse's path, and ``error`` is
+    exactly what a strict :func:`parse_module` raises (``None`` when that
+    raises no :class:`VBAParseError`).
+    """
+
+    module: ast.Module | None
+    error: VBAParseError | None
+
+
+def parse_tolerant(source: str, tokens: TokenTable | None = None) -> ModuleParse:
+    """A tolerant :func:`parse_module` that never raises a parse failure:
+    :class:`VBAParseError` and :class:`RecursionError` end in a
+    :class:`ModuleParse` without a module."""
+    parser = _Parser(source, tolerant=True, tokens=tokens)
+    try:
+        module = parser.parse_module()
+    except VBAParseError as failure:
+        return ModuleParse(None, parser.first_error or _detached(failure))
+    except RecursionError:
+        return ModuleParse(None, parser.first_error)
+    return ModuleParse(module, parser.first_error)
+
+
+def _detached(error: VBAParseError) -> VBAParseError:
+    """``error`` without its traceback, whose frames hold the parser (and
+    so, through ``first_error``, the error again): a kept error must not
+    keep a module's columns alive, or tie them into a reference cycle."""
+    return error.with_traceback(None)
 
 
 def parse_statements(source: str) -> list[ast.Statement]:
@@ -75,6 +117,16 @@ def parse_statements(source: str) -> list[ast.Statement]:
 
 
 class _Parser:
+    """A cursor over the code positions of one module's token table.
+
+    The code positions are every token but whitespace, comments and line
+    continuations, copied once into four columns: ``_kinds``, ``_texts``,
+    ``_lines`` and ``_tags``.  A tag is the lower-cased word of a name and
+    the text of anything else, so one compare tests a keyword, a
+    punctuation mark or an operator: reserved words lex only as keywords,
+    and punctuation, operator and literal texts cannot spell one another.
+    """
+
     def __init__(
         self,
         source: str,
@@ -82,73 +134,75 @@ class _Parser:
         tokens: TokenTable | None = None,
     ) -> None:
         self._tolerant = tolerant
-        self._tokens = (lex(source) if tokens is None else tokens).code_tokens()
+        table = lex(source) if tokens is None else tokens
+        code = [kind not in LAYOUT_KINDS for kind in table.kinds]
+        self._kinds = list(compress(table.kinds, code))
+        self._texts = list(compress(table.texts, code))
+        self._lines = list(compress(table.lines, code))
+        self._tags = [
+            word or text
+            for word, text in zip(compress(table.words, code), self._texts)
+        ]
         self._pos = 0
-        self._last = len(self._tokens) - 1
+        self._last = len(self._kinds) - 1
         #: statements already parsed but not yet delivered — a single source
         #: statement can expand to several AST statements (``Const A = 1, B = 2``)
         self._pending: list[ast.Statement] = []
+        #: the first parse error a tolerant parse recovered from
+        self.first_error: VBAParseError | None = None
 
     # ------------------------------------------------------------------
-    # Token cursor helpers
+    # Cursor helpers.  ``_pos`` is always a valid index: ``_advance`` stops
+    # on the last position (EOF).
 
-    def _peek(self) -> Token:
-        # ``_advance`` stops on the last token (EOF), so ``_pos`` is always
-        # a valid index.
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if self._pos < self._last:
-            self._pos += 1
-        return token
+    def _advance(self) -> int:
+        position = self._pos
+        if position < self._last:
+            self._pos = position + 1
+        return position
 
     def _at_keyword(self, *words: str) -> bool:
-        token = self._peek()
-        return token.kind is TokenKind.KEYWORD and token.text.lower() in words
+        return self._tags[self._pos] in words
 
-    def _at_punct(self, text: str) -> bool:
-        token = self._peek()
-        return token.kind is TokenKind.PUNCT and token.text == text
-
-    def _at_operator(self, text: str) -> bool:
-        token = self._peek()
-        return token.kind is TokenKind.OPERATOR and token.text == text
-
-    def _expect_keyword(self, word: str) -> Token:
-        if not self._at_keyword(word):
+    def _expect(self, tag: str) -> int:
+        """Consume the keyword, punctuation or operator ``tag``."""
+        position = self._pos
+        if self._tags[position] != tag:
             raise VBAParseError(
-                f"expected {word!r}, found {self._peek().text!r}", self._peek().line
+                f"expected {tag!r}, found {self._texts[position]!r}",
+                self._lines[position],
             )
         return self._advance()
 
-    def _expect_punct(self, text: str) -> Token:
-        if not self._at_punct(text):
+    def _expect_identifier(self) -> int:
+        position = self._pos
+        if self._kinds[position] is not TokenKind.IDENTIFIER:
             raise VBAParseError(
-                f"expected {text!r}, found {self._peek().text!r}", self._peek().line
-            )
-        return self._advance()
-
-    def _expect_identifier(self) -> Token:
-        token = self._peek()
-        if token.kind is not TokenKind.IDENTIFIER:
-            raise VBAParseError(
-                f"expected identifier, found {token.text!r}", token.line
+                f"expected identifier, found {self._texts[position]!r}",
+                self._lines[position],
             )
         return self._advance()
 
     def _skip_separators(self) -> None:
-        while self._peek().kind is TokenKind.NEWLINE or self._at_punct(":"):
+        kinds = self._kinds
+        tags = self._tags
+        while kinds[self._pos] is TokenKind.NEWLINE or tags[self._pos] == ":":
             self._advance()
 
     def _end_of_statement(self) -> bool:
-        return self._peek().kind in (TokenKind.NEWLINE, TokenKind.EOF) or self._at_punct(":")
+        position = self._pos
+        return (
+            self._kinds[position] in (TokenKind.NEWLINE, TokenKind.EOF)
+            or self._tags[position] == ":"
+        )
 
     def expect_eof(self) -> None:
         self._skip_separators()
-        if self._peek().kind is not TokenKind.EOF:
+        position = self._pos
+        if self._kinds[position] is not TokenKind.EOF:
             raise VBAParseError(
-                f"unexpected trailing {self._peek().text!r}", self._peek().line
+                f"unexpected trailing {self._texts[position]!r}",
+                self._lines[position],
             )
 
     # ------------------------------------------------------------------
@@ -156,13 +210,13 @@ class _Parser:
 
     def parse_module(self) -> ast.Module:
         module = ast.Module()
+        kinds = self._kinds
         while True:
             if self._pending:
                 module.module_statements.append(self._pending.pop(0))
                 continue
             self._skip_separators()
-            token = self._peek()
-            if token.kind is TokenKind.EOF:
+            if kinds[self._pos] is TokenKind.EOF:
                 break
             self._consume_modifiers()
             if self._at_keyword("sub", "function"):
@@ -170,17 +224,18 @@ class _Parser:
                 pending_mark = len(self._pending)
                 try:
                     procedure = self._parse_procedure()
-                except VBAParseError:
+                except VBAParseError as error:
                     # A malformed header (``Sub Broken(((``) must not abort a
                     # tolerant parse: drop the header line and resume at
                     # module level.  A file truncated mid-procedure (EOF
                     # before ``End Sub``) stays a hard error — its body
                     # cannot be attributed to anything.
-                    if not self._tolerant or self._peek().kind is TokenKind.EOF:
+                    if not self._tolerant or kinds[self._pos] is TokenKind.EOF:
                         raise
+                    self.first_error = self.first_error or _detached(error)
                     self._pos = start
                     del self._pending[pending_mark:]
-                    line = self._peek().line
+                    line = self._lines[start]
                     raw = self._skip_rest_of_line()
                     module.module_statements.append(ast.NoOpStmt(raw, line))
                     continue
@@ -195,42 +250,41 @@ class _Parser:
 
     def _consume_modifiers(self) -> bool:
         consumed = False
-        while self._peek().kind is TokenKind.KEYWORD and self._peek().text.lower() in _MODIFIER_KEYWORDS:
+        while self._tags[self._pos] in _MODIFIER_KEYWORDS:
             self._advance()
             consumed = True
         return consumed
 
     def _parse_procedure(self) -> ast.Procedure:
         keyword = self._advance()  # sub | function
-        kind = keyword.text.lower()
-        name = self._expect_identifier()
+        kind = self._tags[keyword]
+        name = self._texts[self._expect_identifier()]
         params: list[str] = []
-        if self._at_punct("("):
+        if self._tags[self._pos] == "(":
             self._advance()
-            while not self._at_punct(")"):
+            while self._tags[self._pos] != ")":
                 # Skip parameter modifiers.
                 while self._at_keyword("byval", "byref", "optional", "paramarray"):
                     self._advance()
-                param = self._expect_identifier()
-                params.append(param.text)
-                if self._at_keyword("as"):
+                params.append(self._texts[self._expect_identifier()])
+                if self._tags[self._pos] == "as":
                     self._advance()
                     self._advance()  # type name (keyword or identifier)
-                if self._at_punct(","):
+                if self._tags[self._pos] == ",":
                     self._advance()
-            self._expect_punct(")")
-        if self._at_keyword("as"):
+            self._expect(")")
+        if self._tags[self._pos] == "as":
             self._advance()
             self._advance()  # return type
         body = self.parse_statement_block(terminators=frozenset({"end"}))
-        self._expect_keyword("end")
-        self._expect_keyword(kind)
+        self._expect("end")
+        self._expect(kind)
         return ast.Procedure(
             kind=kind,
-            name=name.text,
+            name=name,
             params=tuple(params),
             body=body,
-            line=keyword.line,
+            line=self._lines[keyword],
         )
 
     # ------------------------------------------------------------------
@@ -241,15 +295,18 @@ class _Parser:
     ) -> tuple[ast.Statement, ...]:
         """Parse statements until a terminator keyword is at statement start."""
         statements: list[ast.Statement] = []
+        kinds = self._kinds
+        tags = self._tags
         while True:
             if self._pending:
                 statements.append(self._pending.pop(0))
                 continue
             self._skip_separators()
-            token = self._peek()
-            if token.kind is TokenKind.EOF:
+            position = self._pos
+            kind = kinds[position]
+            if kind is TokenKind.EOF:
                 break
-            if token.kind is TokenKind.KEYWORD and token.text.lower() in terminators:
+            if kind is TokenKind.KEYWORD and tags[position] in terminators:
                 break
             statements.append(self._parse_statement_or_raw())
         return tuple(statements)
@@ -257,22 +314,25 @@ class _Parser:
     def _parse_statement_or_raw(self) -> ast.Statement:
         start = self._pos
         pending_mark = len(self._pending)
-        line = self._peek().line
         try:
             return self._parse_statement()
-        except VBAParseError:
+        except VBAParseError as error:
             if not self._tolerant:
                 raise
+            self.first_error = self.first_error or _detached(error)
             self._pos = start
             del self._pending[pending_mark:]  # drop partial expansions
             raw = self._skip_rest_of_line()
-            return ast.NoOpStmt(raw, line)
+            return ast.NoOpStmt(raw, self._lines[start])
 
     def _parse_statement(self) -> ast.Statement:
-        token = self._peek()
+        position = self._pos
+        kind = self._kinds[position]
+        text = self._texts[position]
+        line = self._lines[position]
 
-        if token.kind is TokenKind.KEYWORD:
-            keyword = token.text.lower()
+        if kind is TokenKind.KEYWORD:
+            keyword = self._tags[position]
             if keyword in _MODIFIER_KEYWORDS:
                 self._consume_modifiers()
                 return self._parse_statement()
@@ -298,152 +358,143 @@ class _Parser:
             if keyword == "call":
                 return self._parse_call_keyword()
             if keyword in ("on", "option", "debug", "stop"):
-                line = token.line
-                head = self._advance().text
+                self._advance()
                 rest = self._skip_rest_of_line()
-                text = f"{head} {rest}".strip()
-                return ast.NoOpStmt(text, line)
-            raise VBAParseError(f"unsupported statement {token.text!r}", token.line)
+                return ast.NoOpStmt(f"{text} {rest}".strip(), line)
+            raise VBAParseError(f"unsupported statement {text!r}", line)
 
-        if token.kind is TokenKind.IDENTIFIER:
-            lowered = token.text.lower()
-            if lowered in _NOOP_STATEMENTS:
-                line = token.line
-                head = self._advance().text
+        if kind is TokenKind.IDENTIFIER:
+            if text.lower() in _NOOP_STATEMENTS:
+                self._advance()
                 rest = self._skip_rest_of_line()
-                text = f"{head} {rest}".strip()
-                return ast.NoOpStmt(text, line)
+                return ast.NoOpStmt(f"{text} {rest}".strip(), line)
             if self._at_label():
                 self._advance()
                 self._advance()  # the ``:``
-                return ast.NoOpStmt(f"{token.text}:", token.line)
+                return ast.NoOpStmt(f"{text}:", line)
             return self._parse_assignment_or_call()
 
-        raise VBAParseError(f"unexpected token {token.text!r}", token.line)
+        raise VBAParseError(f"unexpected token {text!r}", line)
 
     def _at_label(self) -> bool:
         """A line label: the name opening a physical line, then ``:``
         (``Again:`` — a ``GoTo`` target, not a call of ``Again``)."""
         position = self._pos
-        tokens = self._tokens
         return (
             position < self._last
-            and (position == 0 or tokens[position - 1].kind is TokenKind.NEWLINE)
-            and tokens[position + 1].kind is TokenKind.PUNCT
-            and tokens[position + 1].text == ":"
+            and (position == 0 or self._kinds[position - 1] is TokenKind.NEWLINE)
+            and self._tags[position + 1] == ":"
         )
 
     def _skip_rest_of_line(self) -> str:
         """Skip to end of statement, returning the skipped tokens' text."""
-        pieces: list[str] = []
+        start = self._pos
         while not self._end_of_statement():
-            pieces.append(self._advance().text)
-        return " ".join(pieces)
+            self._advance()
+        return " ".join(self._texts[start : self._pos])
 
     def _parse_dim(self) -> ast.Statement:
         keyword = self._advance()  # dim / redim
+        tags = self._tags
         names: list[tuple[str, ast.Expression | None]] = []
         while True:
-            if self._at_keyword("preserve"):
+            if tags[self._pos] == "preserve":
                 self._advance()
-            name = self._expect_identifier()
+            name = self._texts[self._expect_identifier()]
             extent: ast.Expression | None = None
-            if self._at_punct("("):
+            if tags[self._pos] == "(":
                 self._advance()
-                if not self._at_punct(")"):
+                if tags[self._pos] != ")":
                     extent = self._parse_expression()
                     # ``Dim a(1 To 10)`` — keep the upper bound.
-                    if self._at_keyword("to"):
+                    if tags[self._pos] == "to":
                         self._advance()
                         extent = self._parse_expression()
-                self._expect_punct(")")
-            names.append((name.text, extent))
-            if self._at_keyword("as"):
+                self._expect(")")
+            names.append((name, extent))
+            if tags[self._pos] == "as":
                 self._advance()
                 self._advance()  # type
-            if self._at_punct(","):
+            if tags[self._pos] == ",":
                 self._advance()
                 continue
             break
-        return ast.DimStmt(tuple(names), keyword.line)
+        return ast.DimStmt(tuple(names), self._lines[keyword])
 
     def _parse_const(self) -> ast.Statement:
-        keyword = self._expect_keyword("const")
-        first = self._parse_one_const(keyword.line)
+        line = self._lines[self._expect("const")]
+        first = self._parse_one_const(line)
         # ``Const A = 1, B = 2`` expands into one ConstStmt per name; the
         # extras are queued and drained by the enclosing block loop.
-        while self._at_punct(","):
+        while self._tags[self._pos] == ",":
             self._advance()
-            self._pending.append(self._parse_one_const(keyword.line))
+            self._pending.append(self._parse_one_const(line))
         return first
 
     def _parse_one_const(self, line: int) -> ast.ConstStmt:
-        name = self._expect_identifier()
-        if self._at_keyword("as"):
+        name = self._texts[self._expect_identifier()]
+        if self._tags[self._pos] == "as":
             self._advance()
             self._advance()
-        if not self._at_operator("="):
+        if self._tags[self._pos] != "=":
             raise VBAParseError("Const requires '='", line)
         self._advance()
         value = self._parse_expression()
-        return ast.ConstStmt(name.text, value, line)
+        return ast.ConstStmt(name, value, line)
 
     def _parse_assignment_or_call(self) -> ast.Statement:
-        start = self._peek()
+        start = self._pos
+        line = self._lines[start]
         target = self._parse_postfix()
-        if self._at_operator("="):
+        if self._tags[self._pos] == "=":
             self._advance()
             value = self._parse_expression()
             if isinstance(target, (ast.Name, ast.Call, ast.MemberAccess)):
-                return ast.Assign(target, value, start.line)
-            raise VBAParseError("invalid assignment target", start.line)
+                return ast.Assign(target, value, line)
+            raise VBAParseError("invalid assignment target", line)
         # Statement-position call: ``Helper`` or ``Shell prog, 1``.
         if isinstance(target, (ast.Call, ast.MemberAccess)) and self._end_of_statement():
-            return ast.CallStmt(target, start.line)
+            return ast.CallStmt(target, line)
         if isinstance(target, ast.Name):
             if self._end_of_statement():
-                return ast.CallStmt(
-                    ast.Call(target.name, (), start.line), start.line
-                )
-            args = [self._parse_expression()]
-            while self._at_punct(","):
-                self._advance()
-                args.append(self._parse_expression())
+                return ast.CallStmt(ast.Call(target.name, (), line), line)
             return ast.CallStmt(
-                ast.Call(target.name, tuple(args), start.line), start.line
+                ast.Call(target.name, self._parse_bare_arguments(), line), line
             )
         if isinstance(target, ast.MemberAccess):
             # ``obj.Method arg1, arg2`` — attach the arguments.
-            args = [self._parse_expression()]
-            while self._at_punct(","):
-                self._advance()
-                args.append(self._parse_expression())
             return ast.CallStmt(
                 ast.MemberAccess(
-                    target.base, target.member, tuple(args), start.line
+                    target.base, target.member, self._parse_bare_arguments(), line
                 ),
-                start.line,
+                line,
             )
         raise VBAParseError(
-            f"cannot parse statement at {start.text!r}", start.line
+            f"cannot parse statement at {self._texts[start]!r}", line
         )
 
+    def _parse_bare_arguments(self) -> tuple[ast.Expression, ...]:
+        """``a, b, c`` after a statement-position call, no parentheses."""
+        args = [self._parse_expression()]
+        while self._tags[self._pos] == ",":
+            self._advance()
+            args.append(self._parse_expression())
+        return tuple(args)
+
     def _parse_if(self) -> ast.Statement:
-        keyword = self._expect_keyword("if")
+        line = self._lines[self._expect("if")]
         condition = self._parse_expression()
-        self._expect_keyword("then")
+        self._expect("then")
         if not self._end_of_statement():
             # Single-line If: colon-separated statements after ``Then`` are
             # part of the then-body (``If a Then b = 1: c = 2``), up to an
             # optional single-line ``Else``.
             then_body = self._parse_inline_body()
             else_body: tuple[ast.Statement, ...] = ()
-            if self._at_keyword("else"):
+            if self._tags[self._pos] == "else":
                 self._advance()
                 else_body = self._parse_inline_body()
-            return ast.IfStmt(
-                ((condition, then_body),), else_body, keyword.line
-            )
+            return ast.IfStmt(((condition, then_body),), else_body, line)
         branches: list[tuple[ast.Expression, tuple[ast.Statement, ...]]] = []
         body = self.parse_statement_block(
             terminators=frozenset({"elseif", "else", "end"})
@@ -451,33 +502,34 @@ class _Parser:
         branches.append((condition, body))
         else_body = ()
         while True:
-            if self._at_keyword("elseif"):
+            if self._tags[self._pos] == "elseif":
                 self._advance()
                 branch_condition = self._parse_expression()
-                self._expect_keyword("then")
+                self._expect("then")
                 branch_body = self.parse_statement_block(
                     terminators=frozenset({"elseif", "else", "end"})
                 )
                 branches.append((branch_condition, branch_body))
                 continue
-            if self._at_keyword("else"):
+            if self._tags[self._pos] == "else":
                 self._advance()
                 else_body = self.parse_statement_block(
                     terminators=frozenset({"end"})
                 )
             break
-        self._expect_keyword("end")
-        self._expect_keyword("if")
-        return ast.IfStmt(tuple(branches), else_body, keyword.line)
+        self._expect("end")
+        self._expect("if")
+        return ast.IfStmt(tuple(branches), else_body, line)
 
     def _parse_inline_body(self) -> tuple[ast.Statement, ...]:
         """Parse colon-joined statements on a single-line ``If`` branch."""
+        tags = self._tags
         body = [self._parse_statement()]
         body.extend(self._drain_pending())
-        while self._at_punct(":"):
-            while self._at_punct(":"):
+        while tags[self._pos] == ":":
+            while tags[self._pos] == ":":
                 self._advance()
-            if self._peek().kind in (TokenKind.NEWLINE, TokenKind.EOF):
+            if self._kinds[self._pos] in (TokenKind.NEWLINE, TokenKind.EOF):
                 break
             if self._at_keyword("else", "elseif", "end", "next", "wend", "loop"):
                 break
@@ -490,99 +542,101 @@ class _Parser:
         self._pending.clear()
         return drained
 
-    def _parse_for(self) -> ast.Statement:
-        keyword = self._expect_keyword("for")
-        if self._at_keyword("each"):
+    def _skip_next_variable(self) -> None:
+        """``Next i``: the loop variable after ``Next`` is optional."""
+        self._expect("next")
+        if self._kinds[self._pos] is TokenKind.IDENTIFIER:
             self._advance()
-            var = self._expect_identifier()
-            self._expect_keyword("in")
+
+    def _parse_for(self) -> ast.Statement:
+        line = self._lines[self._expect("for")]
+        if self._tags[self._pos] == "each":
+            self._advance()
+            var = self._texts[self._expect_identifier()]
+            self._expect("in")
             iterable = self._parse_expression()
             body = self.parse_statement_block(terminators=frozenset({"next"}))
-            self._expect_keyword("next")
-            if self._peek().kind is TokenKind.IDENTIFIER:
-                self._advance()
-            return ast.ForEachStmt(var.text, iterable, body, keyword.line)
-        var = self._expect_identifier()
-        if not self._at_operator("="):
-            raise VBAParseError("For requires '='", keyword.line)
+            self._skip_next_variable()
+            return ast.ForEachStmt(var, iterable, body, line)
+        var = self._texts[self._expect_identifier()]
+        if self._tags[self._pos] != "=":
+            raise VBAParseError("For requires '='", line)
         self._advance()
         start = self._parse_expression()
-        self._expect_keyword("to")
+        self._expect("to")
         end = self._parse_expression()
         step: ast.Expression | None = None
-        if self._at_keyword("step"):
+        if self._tags[self._pos] == "step":
             self._advance()
             step = self._parse_expression()
         body = self.parse_statement_block(terminators=frozenset({"next"}))
-        self._expect_keyword("next")
-        if self._peek().kind is TokenKind.IDENTIFIER:
-            self._advance()
-        return ast.ForStmt(var.text, start, end, step, body, keyword.line)
+        self._skip_next_variable()
+        return ast.ForStmt(var, start, end, step, body, line)
 
     def _parse_do(self) -> ast.Statement:
-        keyword = self._expect_keyword("do")
+        line = self._lines[self._expect("do")]
         if self._at_keyword("while", "until"):
-            kind = self._advance().text.lower()
+            kind = self._tags[self._advance()]
             condition = self._parse_expression()
             body = self.parse_statement_block(terminators=frozenset({"loop"}))
-            self._expect_keyword("loop")
-            return ast.DoLoopStmt(condition, kind, True, body, keyword.line)
+            self._expect("loop")
+            return ast.DoLoopStmt(condition, kind, True, body, line)
         body = self.parse_statement_block(terminators=frozenset({"loop"}))
-        self._expect_keyword("loop")
+        self._expect("loop")
         if self._at_keyword("while", "until"):
-            kind = self._advance().text.lower()
+            kind = self._tags[self._advance()]
             condition = self._parse_expression()
-            return ast.DoLoopStmt(condition, kind, False, body, keyword.line)
+            return ast.DoLoopStmt(condition, kind, False, body, line)
         # ``Do … Loop`` with no condition: infinite — require Exit Do.
-        return ast.DoLoopStmt(
-            ast.Literal(True, keyword.line), "while", True, body, keyword.line
-        )
+        return ast.DoLoopStmt(ast.Literal(True, line), "while", True, body, line)
 
     def _parse_while_wend(self) -> ast.Statement:
-        keyword = self._expect_keyword("while")
+        line = self._lines[self._expect("while")]
         condition = self._parse_expression()
         body = self.parse_statement_block(terminators=frozenset({"wend"}))
-        self._expect_keyword("wend")
-        return ast.DoLoopStmt(condition, "while", True, body, keyword.line)
+        self._expect("wend")
+        return ast.DoLoopStmt(condition, "while", True, body, line)
 
     def _parse_with(self) -> ast.Statement:
-        keyword = self._expect_keyword("with")
+        line = self._lines[self._expect("with")]
         subject = self._parse_expression()
         body: list[ast.Statement] = []
         while True:
             self._skip_separators()
-            if self._at_keyword("end"):
+            position = self._pos
+            if self._tags[position] == "end":
                 break
-            if self._peek().kind is TokenKind.EOF:
-                raise VBAParseError("unterminated With block", keyword.line)
-            if self._at_punct("."):
+            if self._kinds[position] is TokenKind.EOF:
+                raise VBAParseError("unterminated With block", line)
+            if self._tags[position] == ".":
                 # ``.Member = value`` / ``.Method args`` — host operations
                 # on the block subject, preserved verbatim.
-                line = self._peek().line
                 raw = self._skip_rest_of_line()
-                body.append(ast.NoOpStmt(raw, line))
+                body.append(ast.NoOpStmt(raw, self._lines[position]))
                 continue
             body.append(self._parse_statement_or_raw())
-        self._expect_keyword("end")
-        self._expect_keyword("with")
-        return ast.WithStmt(subject, tuple(body), keyword.line)
+        self._expect("end")
+        self._expect("with")
+        return ast.WithStmt(subject, tuple(body), line)
 
     def _parse_exit(self) -> ast.Statement:
-        keyword = self._expect_keyword("exit")
-        token = self._advance()
-        kind = token.text.lower()
+        line = self._lines[self._expect("exit")]
+        position = self._advance()
+        kind = self._texts[position].lower()
         if kind not in ("sub", "function", "for", "do"):
-            raise VBAParseError(f"cannot Exit {token.text!r}", keyword.line)
-        return ast.ExitStmt(kind, keyword.line)
+            raise VBAParseError(
+                f"cannot Exit {self._texts[position]!r}", line
+            )
+        return ast.ExitStmt(kind, line)
 
     def _parse_call_keyword(self) -> ast.Statement:
-        keyword = self._expect_keyword("call")
+        line = self._lines[self._expect("call")]
         target = self._parse_postfix()
         if isinstance(target, ast.Name):
             target = ast.Call(target.name, (), target.line)
         if not isinstance(target, (ast.Call, ast.MemberAccess)):
-            raise VBAParseError("Call requires a procedure", keyword.line)
-        return ast.CallStmt(target, keyword.line)
+            raise VBAParseError("Call requires a procedure", line)
+        return ast.CallStmt(target, line)
 
     # ------------------------------------------------------------------
     # Expressions (binding-power loop over the VBA operator table)
@@ -595,55 +649,54 @@ class _Parser:
         operator at binding power 4 (between ``And`` and the comparisons);
         where a tighter operand is wanted it stays a plain ``Name``.
         """
-        token = self._peek()
-        if (
-            min_bp <= _NOT_BP
-            and token.kind is TokenKind.KEYWORD
-            and token.text.lower() == "not"
-        ):
-            self._advance()
+        tags = self._tags
+        position = self._pos
+        if min_bp <= _NOT_BP and tags[position] == "not":
+            self._pos = position + 1
             operand = self._parse_expression(_NOT_BP)
-            left: ast.Expression = ast.UnaryOp("not", operand, token.line)
+            left: ast.Expression = ast.UnaryOp("not", operand, self._lines[position])
         else:
             left = self._parse_unary()
+        binding = _BINARY_BP.get
         while True:
-            token = self._peek()
-            if token.kind is not TokenKind.OPERATOR and token.kind is not TokenKind.KEYWORD:
-                break
-            op = token.text.lower()
-            bp = _BINARY_BP.get(op)
+            # Only operators and keywords have a tag in ``_BINARY_BP``.
+            op = tags[self._pos]
+            bp = binding(op)
             if bp is None or bp < min_bp:
                 break
-            self._advance()
+            self._pos += 1
             right = self._parse_expression(bp + 1)
             left = ast.BinOp(op, left, right, left.line)
         return left
 
     def _parse_unary(self) -> ast.Expression:
-        if self._at_operator("-"):
-            token = self._advance()
+        """Unary ``-``/``+`` over a power: ``^`` binds tighter than a unary
+        minus on its left and takes a unary operand on its right."""
+        position = self._pos
+        tag = self._tags[position]
+        if tag == "-":
+            self._pos = position + 1
             operand = self._parse_unary()
-            return ast.UnaryOp("-", operand, token.line)
-        if self._at_operator("+"):
-            self._advance()
+            return ast.UnaryOp("-", operand, self._lines[position])
+        if tag == "+":
+            self._pos = position + 1
             return self._parse_unary()
-        return self._parse_power()
-
-    def _parse_power(self) -> ast.Expression:
         left = self._parse_postfix()
-        if self._at_operator("^"):
-            self._advance()
+        if self._tags[self._pos] == "^":
+            self._pos += 1
             right = self._parse_unary()
             return ast.BinOp("^", left, right, left.line)
         return left
 
     def _parse_postfix(self) -> ast.Expression:
         expression = self._parse_primary()
+        tags = self._tags
         while True:
-            if self._at_punct("("):
+            tag = tags[self._pos]
+            if tag == "(":
                 if not isinstance(expression, (ast.Name, ast.MemberAccess)):
                     raise VBAParseError(
-                        "cannot call this expression", self._peek().line
+                        "cannot call this expression", self._lines[self._pos]
                     )
                 args = self._parse_arguments()
                 if isinstance(expression, ast.Name):
@@ -653,66 +706,70 @@ class _Parser:
                         expression.base, expression.member, args, expression.line
                     )
                 continue
-            if self._at_punct("."):
-                self._advance()
+            if tag == ".":
+                self._pos += 1
                 member = self._advance()
-                if member.kind not in (TokenKind.IDENTIFIER, TokenKind.KEYWORD):
+                if self._kinds[member] not in _NAME_KINDS:
                     raise VBAParseError(
-                        f"expected member name, found {member.text!r}", member.line
+                        f"expected member name, found {self._texts[member]!r}",
+                        self._lines[member],
                     )
                 expression = ast.MemberAccess(
-                    expression, member.text, None, member.line
+                    expression, self._texts[member], None, self._lines[member]
                 )
                 continue
             break
         return expression
 
     def _parse_arguments(self) -> tuple[ast.Expression, ...]:
-        self._expect_punct("(")
+        """``(a, b, …)``; the cursor is on the ``(``."""
+        self._pos += 1
+        tags = self._tags
         args: list[ast.Expression] = []
-        if not self._at_punct(")"):
+        if tags[self._pos] != ")":
             args.append(self._parse_expression())
-            while self._at_punct(","):
-                self._advance()
+            while tags[self._pos] == ",":
+                self._pos += 1
                 args.append(self._parse_expression())
-        self._expect_punct(")")
+        self._expect(")")
         return tuple(args)
 
     def _parse_primary(self) -> ast.Expression:
-        token = self._peek()
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return ast.Literal(token.string_value, token.line)
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            return ast.Literal(_parse_number(token.text), token.line)
-        if token.kind is TokenKind.DATE:
-            self._advance()
-            return ast.Literal(token.text, token.line)
-        if token.kind is TokenKind.IDENTIFIER:
-            self._advance()
-            return ast.Name(token.text, token.line)
-        if token.kind is TokenKind.KEYWORD:
-            keyword = token.text.lower()
+        position = self._pos
+        kind = self._kinds[position]
+        text = self._texts[position]
+        line = self._lines[position]
+        # Every kind matched here sits before EOF, the last position.
+        if kind is TokenKind.IDENTIFIER:
+            self._pos = position + 1
+            return ast.Name(text, line)
+        if kind is TokenKind.STRING:
+            self._pos = position + 1
+            return ast.Literal(string_value(text), line)
+        if kind is TokenKind.NUMBER:
+            self._pos = position + 1
+            return ast.Literal(_parse_number(text), line)
+        if kind is TokenKind.DATE:
+            self._pos = position + 1
+            return ast.Literal(text, line)
+        if kind is TokenKind.KEYWORD:
+            self._pos = position + 1
+            keyword = self._tags[position]
             if keyword == "true":
-                self._advance()
-                return ast.Literal(True, token.line)
+                return ast.Literal(True, line)
             if keyword == "false":
-                self._advance()
-                return ast.Literal(False, token.line)
+                return ast.Literal(False, line)
             if keyword in ("nothing", "null", "empty"):
-                self._advance()
-                return ast.Literal(None, token.line)
+                return ast.Literal(None, line)
             # Type-conversion builtins (CStr, CLng, …) lex as keywords but are
             # callable; treat them as names.
-            self._advance()
-            return ast.Name(token.text, token.line)
-        if self._at_punct("("):
-            self._advance()
+            return ast.Name(text, line)
+        if text == "(" and kind is TokenKind.PUNCT:
+            self._pos = position + 1
             inner = self._parse_expression()
-            self._expect_punct(")")
+            self._expect(")")
             return inner
-        raise VBAParseError(f"unexpected token {token.text!r}", token.line)
+        raise VBAParseError(f"unexpected token {text!r}", line)
 
 
 def _parse_number(text: str) -> int | float:

@@ -95,3 +95,39 @@ class TestLintStage:
             's = "po" & "we" & "rs"\n'
         )
         assert [f.rule_id for f in macro.findings] == ["o2-literal-concat"]
+
+
+def deep_nesting_macro(depth: int = 3000) -> str:
+    """Split-string junk, an early ``Exit Sub``, then an expression nested
+    deeper than the parser's stack allows."""
+    return (
+        "Sub Deep()\n"
+        '    s = "pow" & "ers" & "hell"\n'
+        "    Exit Sub\n"
+        "    x = " + "(" * depth + "1" + ")" * depth + "\n"
+        "End Sub\n"
+    )
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("recover", [False, True], ids=["lint", "recover"])
+    def test_run_source_lints_a_macro_too_deep_to_parse(self, recover):
+        macro = AnalysisEngine.for_lint(recover=recover).run_source(
+            deep_nesting_macro()
+        )
+        rule_ids = {finding.rule_id for finding in macro.findings}
+        assert {"o2-literal-concat", "o4-unreachable-code"} <= rule_ids
+        assert "aa-broken-code" not in rule_ids
+        if recover:
+            assert macro.recovery.parse_failed
+
+    def test_a_document_lints_every_macro_after_the_deep_one(self):
+        second = 'Sub Other()\n    t = "po" & "we" & "rs"\nEnd Sub\n'
+        blob = build_document_bytes([deep_nesting_macro(), second], "docm")
+        record = AnalysisEngine.for_lint(recover=True).run(blob)
+        assert not record.degraded
+        assert not any(
+            "stage crashed" in diagnostic.message for diagnostic in record.diagnostics
+        )
+        assert len(record.macros) == 2
+        assert all(macro.findings for macro in record.macros)

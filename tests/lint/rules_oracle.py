@@ -18,7 +18,7 @@ import re
 from functools import cached_property
 
 from repro.lint.findings import Finding, sort_findings
-from repro.lint.registry import Rule
+from repro.lint.registry import Rule as _PositionRule
 from repro.lint.rules.recovered import (
     LiteralDisagreement,
     RecoveredAutoOpen,
@@ -35,6 +35,34 @@ ORACLE_RULES: dict[str, Rule] = {}
 def register_rule(cls: type[Rule]) -> type[Rule]:
     ORACLE_RULES[cls.rule_id] = cls()
     return cls
+
+
+# -- rule base ----------------------------------------
+
+
+class Rule(_PositionRule):
+    """The registry's rule base with its token-anchored ``finding``: the
+    production rules anchor findings at column positions instead."""
+
+    def finding(
+        self,
+        ctx: "LintContext",
+        token: Token,
+        message: str,
+        *,
+        severity: str | None = None,
+        evidence: str | None = None,
+    ) -> Finding:
+        """Build a finding anchored at ``token`` with this rule's metadata."""
+        return Finding(
+            rule_id=self.rule_id,
+            o_class=self.o_class,
+            severity=severity or self.severity,
+            line=token.line,
+            span=token_span(token),
+            message=message,
+            evidence=ctx.evidence(token) if evidence is None else evidence,
+        )
 
 
 # -- context ----------------------------------------

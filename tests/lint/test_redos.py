@@ -37,8 +37,8 @@ class TestLineScanCap:
     def test_evidence_is_capped(self):
         analysis = analyze(hostile_module(1024 * 1024))
         context = LintContext(analysis)
-        token = context.significant[0]
-        assert len(context.evidence(token)) <= 120
+        assert context.texts[0] == "Sub"
+        assert len(context.evidence(0)) <= 120
 
 
 class TestRuleSweepBudget:

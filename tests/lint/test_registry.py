@@ -64,9 +64,9 @@ class TestRegistry:
             description = "test rule"
 
             def scan(self, ctx):
-                for token in ctx.significant:
-                    if token.text.lower() == "shell":
-                        yield self.finding(ctx, token, "shell call")
+                for position, text in enumerate(ctx.texts):
+                    if text.lower() == "shell":
+                        yield self.finding(ctx, position, "shell call")
 
         try:
             findings = lint_source("Sub A()\n    Shell cmd\nEnd Sub\n",

@@ -1,11 +1,10 @@
 """Per-rule behavior tests: each rule fires on its target shape and stays
 quiet on the idiomatic benign equivalent."""
 
-import repro.lint.rules.antianalysis as antianalysis
 from repro.lint import lint_analysis, lint_source
 from repro.lint.rules.o1_random import looks_machine_generated
 from repro.vba.analyzer import analyze
-from repro.vba.parser import parse_module
+from repro.vba.parser import parse_tolerant
 from tests.vba.test_frontend_golden import corpus_sources
 
 
@@ -163,6 +162,19 @@ class TestO4Logic:
 
 
 class TestAntiAnalysisRules:
+    def test_broken_code_is_silent_on_nesting_too_deep_to_parse(self):
+        depth = 3000
+        source = (
+            "Sub A()\n"
+            '    s = "pow" & "ers" & "hell"\n'
+            "    Exit Sub\n"
+            "    x = " + "(" * depth + "1" + ")" * depth + "\n"
+            "End Sub\n"
+        )
+        found = {finding.rule_id for finding in lint_source(source)}
+        assert "aa-broken-code" not in found
+        assert {"o2-literal-concat", "o4-unreachable-code"} <= found
+
     def test_timer_in_string_or_comment_is_quiet(self):
         quiet = (
             'Sub A()\n    If x Then msg = "check Timer and GetTickCount"\n'
@@ -215,9 +227,8 @@ class TestAntiAnalysisRules:
         sources = [s for s in corpus_sources() if "Exit " in s]
         shared = [lint_analysis(analyze(s), ["aa-broken-code"]) for s in sources]
         monkeypatch.setattr(
-            antianalysis,
-            "parse_module",
-            lambda source, tokens=None: parse_module(source),
+            "repro.vba.analyzer.parse_tolerant",
+            lambda source, tokens=None: parse_tolerant(source),
         )
         relexed = [lint_analysis(analyze(s), ["aa-broken-code"]) for s in sources]
         assert shared == relexed

@@ -93,7 +93,7 @@ def token_soup(seed: int) -> str:
 
 def _assert_same(source: str, rules=None, *, recover: bool = False) -> None:
     analysis = analyze(source)
-    recovery = recover_strings(source, tokens=analysis.table) if recover else None
+    recovery = recover_strings(source, analysis=analysis) if recover else None
     assert lint_analysis(analysis, rules, recovery=recovery) == oracle_lint(
         analysis, rules, recovery=recovery
     ), repr(source[:200])
@@ -161,10 +161,19 @@ def test_token_soup_each_rule_alone():
 def test_statements_are_rebuilt_from_bounds():
     for source in (*corpus_sources(), *(token_soup(seed) for seed in range(300))):
         analysis = analyze(source)
-        assert LintContext(analysis).statements == _oracle_statements(analysis)
+        assert _statements(LintContext(analysis)) == _oracle_statements(analysis)
+
+
+def _statements(ctx):
+    """Each statement as (kind, text, line, column) per position."""
+    rows = list(zip(ctx.kinds, ctx.texts, ctx.lines, ctx.columns))
+    return [rows[start:end] for start, end in ctx.statement_bounds]
 
 
 def _oracle_statements(analysis):
     from tests.lint.rules_oracle import LintContext as OracleContext
 
-    return OracleContext(analysis).statements
+    return [
+        [(token.kind, token.text, token.line, token.column) for token in statement]
+        for statement in OracleContext(analysis).statements
+    ]

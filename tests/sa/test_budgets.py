@@ -7,6 +7,8 @@ StringRecovery (flagged exhausted where a cap tripped), never an
 exception, and bump the ``sa.budget_exhausted`` telemetry.
 """
 
+import time
+
 import pytest
 
 from repro.obs import MetricsRegistry
@@ -77,6 +79,18 @@ NESTED_LOOPS = (
     "End Sub"
 )
 
+def multiply_bomb(trips: int) -> str:
+    """``x`` squared ``trips`` times: 2 ** trips decimal digits."""
+    return (
+        "Sub Square()\n"
+        "    x = 10\n"
+        f"    For i = 1 To {trips}\n"
+        "        x = x * x\n"
+        "    Next i\n"
+        "End Sub"
+    )
+
+
 ADVERSARIAL = (
     BILLION_LOOP,
     DEEP_CONCAT,
@@ -118,6 +132,13 @@ class TestTermination:
         recovery = recover_strings(BILLION_LOOP)
         assert recovery.exhausted
         assert recovery.exhausted_reason == "loop_iterations"
+
+    def test_integer_growth_widens_before_computing(self):
+        started = time.perf_counter()
+        recovery = recover_strings(multiply_bomb(40))
+        assert time.perf_counter() - started < 1.0
+        assert recovery.exhausted
+        assert recovery.exhausted_reason == "number_size"
 
     def test_deep_concat_still_terminates_and_recovers(self):
         recovery = recover_strings(DEEP_CONCAT)

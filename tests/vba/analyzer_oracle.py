@@ -24,11 +24,39 @@ from repro.vba.analyzer import (
     AnalysisSummary,
     CallSite,
     _char_stats,
-    _is_human_readable,
 )
 from repro.vba.functions import ALL_CATEGORIZED_FUNCTIONS
 from repro.vba.lexer import tokenize
 from repro.vba.tokens import STRING_CONCAT_OPERATORS, Token, TokenKind
+
+
+_VOWELS = frozenset("aeiouAEIOU")
+
+
+def _is_human_readable(word: str) -> bool:
+    """Likarish-style readability: a word looks pronounceable.
+
+    Heuristic: mostly letters, contains a vowel, not absurdly long, and no
+    long consonant run (pronounceable English never stacks 4+ consonants the
+    way ``rjzybhqrliy``-style random identifiers do).
+    """
+    if not word or len(word) > 15:
+        return False
+    letters = sum(1 for ch in word if ch.isalpha())
+    if letters < len(word) * 0.5:
+        return False
+    if not any(ch in _VOWELS for ch in word):
+        return False
+    run = 0
+    for ch in word:
+        if ch.isalpha() and ch not in _VOWELS:
+            run += 1
+            if run >= 4:
+                return False
+        else:
+            run = 0
+    return True
+
 
 _PROCEDURE_KEYWORDS = frozenset({"sub", "function", "property"})
 _DECLARATION_KEYWORDS = frozenset({"dim", "const", "redim", "static"})

@@ -1,5 +1,6 @@
 """Tests for the structural analyzer."""
 
+import pickle
 import time
 
 import pytest
@@ -174,3 +175,21 @@ class TestArgumentLengths:
         assert time.perf_counter() - started < 5.0
         assert summary.argument_count == calls + 1  # ``A()`` counts too
         assert summary.argument_len_sum == calls * (calls - 1)
+
+
+class TestCachedParse:
+    def test_parse_is_cached_once(self):
+        analysis = analyze(CALC_MACRO)
+        parsed = analysis.ensure_parse()
+        assert parsed.error is None
+        assert "startcalculator" in parsed.module.procedures
+        assert analysis.ensure_parse() is parsed
+
+    def test_pickled_analysis_drops_the_cached_parse(self):
+        source = "Sub A()\n    Exit Sub\n    Next q\nEnd Sub\n"
+        analysis = analyze(source)
+        assert analysis.ensure_parse().error.line == 3
+        restored = pickle.loads(pickle.dumps(analysis))
+        assert restored == analysis
+        assert restored.module_parse is None
+        assert restored.ensure_parse().error.line == 3

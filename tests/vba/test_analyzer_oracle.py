@@ -6,7 +6,8 @@ The production analyzer reads the lexer's :class:`TokenTable` columns
 instead; both must agree on every ``MacroAnalysis`` list (call-site lines
 and member flags included) and every ``AnalysisSummary`` field, arrays
 byte-equal, on the front-end golden corpus, the detector's training set
-and fuzzed fragments.  The table's own columns are checked against the
+and fuzzed fragments; the compiled readability test matches the
+per-character one on every word of both corpora and fuzzed ASCII words.  The table's own columns are checked against the
 reference scanner, and its ``words`` against the lint context's former
 derivation from the token text.
 """
@@ -14,12 +15,13 @@ derivation from the token text.
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vba.analyzer import analyze
+from repro.vba.analyzer import _WORD_PATTERN, _is_human_readable, analyze
 from repro.vba.lexer import lex
 from repro.vba.tokens import TokenKind
 from tests.lint.test_rules_oracle import training_sources
@@ -112,10 +114,16 @@ def test_views_equal_the_reference_tokens():
     reference = reference_tokenize(source)
     table = lex(source)
     assert table.tokens() == reference
-    assert table.code_tokens() == [
-        token
-        for token in reference
-        if token.kind
-        not in (TokenKind.WHITESPACE, TokenKind.COMMENT, TokenKind.LINE_CONTINUATION)
-    ]
-    assert table.code_tokens() is table.code_tokens()
+    assert table.tokens() is table.tokens()
+
+
+def test_readability_matches_the_reference():
+    words = set()
+    for source in (*corpus_sources(), *training_sources()):
+        words.update(_WORD_PATTERN.findall(source))
+    rng = random.Random(2018)
+    alphabet = "aeiouyAEIOUYbcdfghjklmnpqrstvwxzBCDFGHJKLMNPQRSTVWXZ0123456789_$#@%!&"
+    for _ in range(20_000):
+        words.add("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 18))))
+    for word in words:
+        assert _is_human_readable(word) == analyzer_oracle._is_human_readable(word), word

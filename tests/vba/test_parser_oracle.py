@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+from repro.vba.analyzer import analyze
 from repro.vba.parser import VBAParseError, parse_module
 from tests.lint.test_rules_oracle import training_sources
 from tests.vba import parser_oracle
@@ -129,3 +130,33 @@ def test_nesting_depth_at_least_the_ladders():
             high = middle
     assert _parses(parse_module, low)
     assert _parses(parse_module, 2 * low)
+
+
+def strict_error(source: str) -> str | None:
+    try:
+        parse_module(source)
+    except VBAParseError as error:
+        return f"line {error.line}: {error}"
+    except RecursionError:
+        return None
+    return None
+
+
+def assert_cached_error_is_strict(source: str) -> None:
+    cached = analyze(source).ensure_parse().error
+    got = None if cached is None else f"line {cached.line}: {cached}"
+    assert got == strict_error(source), source
+
+
+def test_cached_first_error_is_the_strict_error():
+    for source in (*corpus_sources(), *training_sources()):
+        assert_cached_error_is_strict(source)
+    rng = random.Random(1417)
+    for _ in range(4000):
+        assert_cached_error_is_strict(statement(rng))
+
+
+def test_cached_parse_is_the_tolerant_parse():
+    for source in corpus_sources():
+        parsed = analyze(source).ensure_parse()
+        assert repr(parsed.module) == repr(parse_module(source, tolerant=True))

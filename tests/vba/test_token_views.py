@@ -2,11 +2,9 @@
 
 Every ``Token`` the front end makes goes through one view constructor,
 ``repro.vba.lexer._token``; the tests count its calls.  Feature
-extraction reads the table's columns only and must build no view at
-all.  A scan with lint and recovery builds each code position's view
-(everything but whitespace, comments and continuations) at most once per
-macro: the recover parse, the ``aa-broken-code`` strict parse and the
-lint context share them.
+extraction, the parser, the lint context and the recover pass read the
+table's columns only, so none of them builds a view: a scan with lint and
+recovery builds no ``Token`` at all.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from repro import ObfuscationDetector
 from repro.engine import AnalysisEngine
 from repro.features.matrix import extract_matrices
 from repro.vba import lexer
-from repro.vba.lexer import LAYOUT_KINDS, lex
+from repro.vba.parser import parse_module
 from tests.vba.test_frontend_golden import corpus_sources
 
 
@@ -40,16 +38,19 @@ def test_feature_matrices_build_no_views(view_count):
     assert view_count[0] == 0
 
 
-def test_a_scan_builds_each_code_view_at_most_once(view_count):
+def test_parse_module_builds_no_views(view_count):
+    for source in corpus_sources():
+        parse_module(source, tolerant=True)
+    assert view_count[0] == 0
+
+
+def test_a_scan_with_lint_and_recover_builds_no_views(view_count):
     sources = [source for source in corpus_sources() if source.strip()][:10]
     detector = ObfuscationDetector("RF").fit(sources, [0, 1] * 5)
     engine = AnalysisEngine.for_scan(detector, lint=True, recover=True)
-    assert view_count[0] == 0
-    code_positions = 0
     for source in sources:
         macro = engine.run_source(source)
         assert macro.verdict is not None
-        code_positions += sum(
-            1 for kind in lex(source).kinds if kind not in LAYOUT_KINDS
-        )
-    assert 0 < view_count[0] <= code_positions
+        assert macro.recovery is not None
+    assert any(engine.run_source(source).findings for source in sources)
+    assert view_count[0] == 0
