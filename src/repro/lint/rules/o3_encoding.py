@@ -10,6 +10,7 @@ marker removal.  Each emitted decoder family from the corpus obfuscator
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 
 from repro.lint.context import LintContext
@@ -17,10 +18,8 @@ from repro.lint.registry import Rule, register_rule
 from repro.vba.tokens import TokenKind, string_value
 
 _CHR_NAMES = ("chr", "chrw", "chrb")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_B64_ALPHABET = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-)
+_HEX_DIGITS = re.compile("[0-9a-fA-F]*")
+_B64_ALPHABET = re.compile("[A-Za-z0-9+/]*")
 #: Words that make a ``Chr()`` argument computed, besides any operator.
 _COMPUTING_WORDS = frozenset(("xor", "and", "or", "not", "mod", "("))
 
@@ -182,7 +181,7 @@ class HexPackedLiteral(Rule):
             if (
                 len(value) >= 8
                 and len(value) % 2 == 0
-                and all(ch in _HEX_DIGITS for ch in value)
+                and _HEX_DIGITS.fullmatch(value)
             ):
                 yield self.finding(
                     ctx,
@@ -211,7 +210,7 @@ class Base64ShapedLiteral(Rule):
             if (
                 len(stripped) >= 16
                 and len(value) % 4 == 0
-                and all(ch in _B64_ALPHABET for ch in stripped)
+                and _B64_ALPHABET.fullmatch(stripped)
                 and any(ch.islower() for ch in stripped)
                 and any(ch.isupper() for ch in stripped)
             ):

@@ -748,7 +748,7 @@ class _Parser:
             return ast.Literal(string_value(text), line)
         if kind is TokenKind.NUMBER:
             self._pos = position + 1
-            return ast.Literal(_parse_number(text), line)
+            return ast.Literal(_parse_number(text, line), line)
         if kind is TokenKind.DATE:
             self._pos = position + 1
             return ast.Literal(text, line)
@@ -772,8 +772,11 @@ class _Parser:
         raise VBAParseError(f"unexpected token {text!r}", line)
 
 
-def _parse_number(text: str) -> int | float:
+def _parse_number(text: str, line: int) -> int | float:
     body = text.rstrip("%&!#@^")
+    if body.lower() in ("&h", "&o"):
+        # The lexer takes a bare ``&H``/``&O`` as a number; VBA does not.
+        raise VBAParseError(f"radix literal {text!r} has no digits", line)
     if body.lower().startswith("&h"):
         return int(body[2:], 16)
     if body.lower().startswith("&o"):

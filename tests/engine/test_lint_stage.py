@@ -131,3 +131,19 @@ class TestDeepNesting:
         )
         assert len(record.macros) == 2
         assert all(macro.findings for macro in record.macros)
+
+
+class TestBareRadixLiteral:
+    @pytest.mark.parametrize("literal", ["&H", "&O", "&H&"])
+    def test_a_document_recovers_every_macro(self, literal):
+        first = f'Sub A()\n    x = {literal}\n    t = "po" & "we" & "rs"\nEnd Sub\n'
+        second = 'Sub Other()\n    t = "po" & "we" & "rs"\nEnd Sub\n'
+        blob = build_document_bytes([first, second], "docm")
+        record = AnalysisEngine.for_lint(recover=True).run(blob)
+        assert not record.degraded
+        assert not any(
+            "stage crashed" in diagnostic.message for diagnostic in record.diagnostics
+        )
+        assert len(record.macros) == 2
+        for macro in record.macros:
+            assert [found.value for found in macro.recovery.strings] == ["powers"]

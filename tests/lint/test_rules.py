@@ -1,7 +1,10 @@
 """Per-rule behavior tests: each rule fires on its target shape and stays
 quiet on the idiomatic benign equivalent."""
 
+import pytest
+
 from repro.lint import lint_analysis, lint_source
+from repro.lint.registry import all_rules
 from repro.lint.rules.o1_random import looks_machine_generated
 from repro.vba.analyzer import analyze
 from repro.vba.parser import parse_tolerant
@@ -109,6 +112,37 @@ class TestO3Encoding:
         assert not hits('c = Replace(cmd, "teRK", "e")\n', "o3-replace-marker")
 
 
+    @pytest.mark.parametrize(
+        ("value", "expected"),
+        [
+            ("deadbee", False),  # 7 characters
+            ("deadbeef", True),  # 8 characters
+            ("deadbeef0", False),  # odd length
+            ("deadbeef0a", True),
+            ("DEADBEEF", True),  # all upper case
+            ("deadbeeg", False),
+            ("deadbee=", False),
+        ],
+    )
+    def test_hex_literal_boundaries(self, value, expected):
+        assert bool(hits(f'h = "{value}"\n', "o3-hex-literal")) is expected
+
+    @pytest.mark.parametrize(
+        ("value", "expected"),
+        [
+            ("cG93ZXJzaGVsbC1=", False),  # 15 characters before the padding
+            ("cG93ZXJzaGVsbC1l", True),  # 16
+            ("cG93ZXJzaGVsbC1lZ", False),  # length not a multiple of 4
+            ("cG93ZXJzaGVsbC1lZg==", True),  # two '='
+            ("cG93ZXJzaGVsbC1lZ===", False),  # three '='
+            ("CG93ZXJZAGVSBC1L", False),  # all upper case
+            ("cg93zxjzagvsbc1l", False),  # all lower case
+            ("cG93ZXJzaGVsbC-l", False),  # '-' is outside the alphabet
+        ],
+    )
+    def test_base64_literal_boundaries(self, value, expected):
+        assert bool(hits(f'b = "{value}"\n', "o3-base64-literal")) is expected
+
 class TestO4Logic:
     def test_dead_private_procedure(self):
         source = (
@@ -175,6 +209,17 @@ class TestAntiAnalysisRules:
         assert "aa-broken-code" not in found
         assert {"o2-literal-concat", "o4-unreachable-code"} <= found
 
+
+    @pytest.mark.parametrize("literal", ["&H", "&O", "&H&"])
+    def test_every_rule_survives_a_bare_radix_literal(self, literal):
+        source = (
+            f'Sub A()\n    x = {literal}\n    s = "pow" & "ers" & "hell"\n'
+            "    Exit Sub\n    y = 1\nEnd Sub\n"
+        )
+        for rule in all_rules():
+            lint_source(source, [rule])
+        found = {finding.rule_id for finding in lint_source(source)}
+        assert {"o2-literal-concat", "o4-unreachable-code"} <= found
     def test_timer_in_string_or_comment_is_quiet(self):
         quiet = (
             'Sub A()\n    If x Then msg = "check Timer and GetTickCount"\n'

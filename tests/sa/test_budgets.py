@@ -171,6 +171,19 @@ class TestTermination:
         assert len(recovery.strings) <= 8
 
 
+
+class TestBareRadixLiteral:
+    """``&H`` / ``&O`` with no digits lex as numbers but do not parse."""
+
+    @pytest.mark.parametrize("literal", ["&H", "&O", "&H&"])
+    def test_recover_strings_folds_the_rest_of_the_macro(self, literal):
+        recovery = recover_strings(
+            f'Sub A()\n    x = {literal}\n    Shell "po" & "wer" & "shell"\nEnd Sub'
+        )
+        assert not recovery.parse_failed
+        assert [found.value for found in recovery.strings] == ["powershell"]
+
+
 class TestTelemetry:
     def test_exhaustion_counters(self):
         registry = MetricsRegistry()
