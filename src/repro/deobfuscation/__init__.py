@@ -1,4 +1,4 @@
-"""Static de-obfuscation: one budgeted SA pass, then a literal rewrite."""
+"""Static de-obfuscation: one budgeted SA pass, then literals spliced into the input."""
 
 from repro.deobfuscation.engine import (
     DeobfuscationReport,

@@ -5,8 +5,8 @@ JavaScript): statically *undo* the string-level obfuscation classes so that
 plaintext indicators ("URLDownloadToFile", URLs, command lines) reappear for
 signature scanners and human analysts.
 
-The engine is one pass of the :mod:`repro.sa` abstract interpreter plus a
-rewrite of the AST it walked:
+The engine is one pass of the :mod:`repro.sa` abstract interpreter plus
+edits spliced into the source it parsed:
 
 1. **analyse** — fold the module under :data:`DEEP_SA_BUDGET`, recording
    each expression's value joined over every context it was evaluated in,
@@ -16,11 +16,15 @@ rewrite of the AST it walked:
    evaluator.  Where statements may run in an order the pass does not
    follow (jumps, module-level code), only values no path can change
    are recorded;
-2. **rewrite** — replace each maximal expression whose value is one
-   concrete scalar, and whose calls reach no effectful procedure, with
-   its literal;
-3. **cleanup** — drop evaluated functions and module consts that nothing
-   references any more.
+2. **rewrite** — replace the source text of each maximal expression
+   whose value is one concrete scalar, and whose calls reach no effectful
+   procedure, with its literal (the parser records each node's span of
+   tokens);
+3. **cleanup** — cut out evaluated functions and module consts that
+   nothing references any more.
+
+Every byte outside those edits is the input's: comments, layout, ``As``
+types and statements the parser kept verbatim come back as they were.
 
 Everything is best-effort: a module the parser rejects is returned
 unchanged with the failure recorded in the report.  So is a module whose
@@ -33,14 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter
 
 from repro.resilience.budgets import DEEP_SA_BUDGET
 from repro.sa.domain import TOP
 from repro.sa.interpreter import AbstractInterpreter
 from repro.vba import ast_nodes as ast
-from repro.vba.parser import VBAParseError, parse_module
-from repro.vba.unparser import unparse_module
+from repro.vba.lexer import LAYOUT_KINDS, TokenTable, lex
+from repro.vba.parser import parse_tolerant, unpack_span
+from repro.vba.tokens import TokenKind, render_literal
 
 #: Tolerant-parse statements that change nothing: error-handling chatter
 #: and module options.  Any other verbatim statement (``MsgBox``,
@@ -74,13 +80,24 @@ _FIXED = {
     (ast.WithStmt, "subject"),
 }
 
-#: Per node type, its fields in ``__slots__`` order, and whether each may
-#: be replaced by a literal.
+#: How a part may be replaced: not at all (``_FIXED``); by a literal in
+#: parentheses when it is not one token; or, as a call argument, which
+#: commas delimit, without them (``Shell ("a" & Chr(10)), 1`` would make
+#: the first argument read as the argument list).
+_KEEP, _WRAP, _BARE = 0, 1, 2
+
+#: Per node type, its fields in ``__slots__`` order, and how each may be
+#: replaced.
 _FIELDS = {kind: attrgetter(*kind.__slots__) for kind in _NODES}
-_REPLACEABLE = {
-    kind: tuple((kind, name) not in _FIXED for name in kind.__slots__)
+_MODES = {
+    kind: tuple(
+        _KEEP if (kind, name) in _FIXED else _BARE if name == "args" else _WRAP
+        for name in kind.__slots__
+    )
     for kind in _NODES
 }
+
+_LINE_ENDS = (TokenKind.NEWLINE, TokenKind.EOF)
 
 _UNSEEN = object()
 
@@ -105,13 +122,16 @@ class DeobfuscationResult:
 
 
 def deobfuscate(source: str) -> DeobfuscationResult:
-    """Statically simplify one module; total on every input."""
+    """Statically simplify one module; total on every input.  The result
+    is ``source`` with folded expressions spliced over by their literals
+    and dropped declarations cut out: every other byte is the input's."""
     report = DeobfuscationReport()
-    try:
-        module = parse_module(source, tolerant=True)
-    except (VBAParseError, RecursionError) as error:
+    table = lex(source)
+    parsed = parse_tolerant(source, table)
+    module = parsed.module
+    if module is None:
         report.parsed = False
-        report.error = str(error)
+        report.error = str(parsed.error or "nesting too deep to parse")
         return DeobfuscationResult(source=source, report=report)
     recorder = _Recorder(module, DEEP_SA_BUDGET)
     recorder.run()
@@ -121,8 +141,9 @@ def deobfuscate(source: str) -> DeobfuscationResult:
         reason = recovery.exhausted_reason or "exit outside a procedure"
         report.error = f"analysis cut short ({reason}); nothing rewritten"
         return DeobfuscationResult(source=source, report=report)
-    rewritten = _Rewriter(recorder, report).module(module)
-    return DeobfuscationResult(source=unparse_module(rewritten), report=report)
+    rewriter = _Rewriter(recorder, report, source, table, parsed.spans)
+    rewriter.module(module)
+    return DeobfuscationResult(source=_splice(source, rewriter.edits), report=report)
 
 
 # ----------------------------------------------------------------------
@@ -244,47 +265,72 @@ class _Recorder(AbstractInterpreter):
 
 
 class _Rewriter:
-    """Maps the analysed module to its folded form."""
+    """Collects the edits that fold the analysed module: ``(start, end,
+    text)`` character ranges of the source and what replaces them."""
 
-    def __init__(self, recorder: _Recorder, report: DeobfuscationReport) -> None:
+    def __init__(
+        self,
+        recorder: _Recorder,
+        report: DeobfuscationReport,
+        source: str,
+        table: TokenTable,
+        spans: dict[int, int],
+    ) -> None:
         self._values = recorder.values
         self._effects = recorder.effects
         self._fold = recorder._fold_binop
         self._procedures = recorder.module.procedures
         self._report = report
         self._evaluated: set[str] = set()
+        self._source = source
+        self._spans = spans
+        code = [i for i, kind in enumerate(table.kinds) if kind not in LAYOUT_KINDS]
+        offsets = list(accumulate(map(len, table.texts), initial=0))
+        #: per code position: where it starts and ends in ``source``, its
+        #: kind and its text
+        self._starts = [offsets[i] for i in code]
+        self._ends = [offsets[i + 1] for i in code]
+        self._kinds = [table.kinds[i] for i in code]
+        self._texts = [table.texts[i] for i in code]
+        self.edits: list[tuple[int, int, str]] = []
+        self.replaced: set[int] = set()
 
-    def module(self, module: ast.Module) -> ast.Module:
-        new = ast.Module(
-            {key: self._node(procedure) for key, procedure in module.procedures.items()},
-            list(self._node(tuple(module.module_statements))),
-        )
-        removed, consts = _drop_unreferenced(new, self._evaluated)
-        self._report.procedures_removed = removed
-        self._report.consts_inlined = consts
-        return new
+    def module(self, module: ast.Module) -> None:
+        for procedure in module.procedures.values():
+            self._node(procedure)
+        self._node(tuple(module.module_statements))
+        dropped = _drop_unreferenced(module, self._evaluated, self.replaced)
+        removed = [p for key, p in module.procedures.items() if key in dropped]
+        for procedure in removed:
+            self._delete_lines(*unpack_span(self._spans[id(procedure)]))
+        self._report.procedures_removed = tuple(p.name for p in removed)
+        self._report.consts_inlined = self._drop_consts(module.module_statements, dropped)
 
-    def _node(self, node, replaceable: bool = True):
-        """Rewrite ``node``.  Parts in ``_FIXED`` positions are rewritten
-        inside but never replaced by a literal."""
-        # map() adds no frame per level, so nesting the parser accepted
-        # (it spends at least as many frames per level) rewrites.
+    def _node(self, node, mode: int = _WRAP) -> None:
+        """Fold ``node``.  Parts in ``_FIXED`` positions are folded inside
+        but never replaced by a literal."""
         kind = type(node)
         if kind is tuple:
-            return tuple(map(self._node, node))
+            for item in node:
+                self._node(item, mode)
+            return
         if kind is ast.BinOp:
-            return self._spine(node) if replaceable else node
+            if mode:
+                self._spine(node, mode)
+            return
         if kind not in _NODES or kind is ast.Literal:
-            return node  # names, operators, flags
-        if replaceable:  # statements have no recorded value
+            return  # names, operators, flags
+        if mode:  # statements have no recorded value
             value = self._values.get(id(node), TOP)
             if _renderable(value):
                 names, folded = _scan(node)
                 if not self._effects.intersection(names):
-                    return self._literal(value, names, folded, node.line)
-        return kind(*map(self._node, _FIELDS[kind](node), _REPLACEABLE[kind]))
+                    self._replace(node, value, names, folded, mode)
+                    return
+        for part, part_mode in zip(_FIELDS[kind](node), _MODES[kind]):
+            self._node(part, part_mode)
 
-    def _spine(self, top: ast.BinOp) -> ast.Expression:
+    def _spine(self, top: ast.BinOp, mode: int) -> None:
         """A left-associative chain, without recursion: the SA folded it
         as one spine and recorded only its operands, so the value of
         each prefix is re-folded from them."""
@@ -299,7 +345,7 @@ class _Rewriter:
             right = self._values.get(id(node.right), TOP)
             value = self._fold(node.op, value, right, node.line)
             values.append(value)
-        rewritten = None
+        cut = -1
         cuts = [k for k, value in enumerate(values) if _renderable(value)]
         if cuts:
             # The prefix ending at spine[k] is the leaf plus the right
@@ -311,20 +357,22 @@ class _Rewriter:
                 if self._effects.intersection(scans[-1][0]):
                     scans.pop()
                     break
-            cut = next((k for k in reversed(cuts) if k + 2 <= len(scans)), None)
-            if cut is not None:
-                names = [name for part, _ in scans[: cut + 2] for name in part]
-                folded = cut + 1 + sum(count for _, count in scans[: cut + 2])
-                rewritten = self._literal(values[cut], names, folded, spine[cut].line)
-        if rewritten is None:
-            cut, rewritten = -1, self._node(leaf)
+            cut = next((k for k in reversed(cuts) if k + 2 <= len(scans)), -1)
+        if cut >= 0:
+            names = [name for part, _ in scans[: cut + 2] for name in part]
+            folded = cut + 1 + sum(count for _, count in scans[: cut + 2])
+            # A prefix is the left operand of the node above it.
+            inner = mode if cut == len(spine) - 1 else _WRAP
+            self._replace(spine[cut], values[cut], names, folded, inner)
+        else:
+            self._node(leaf)
         for node in spine[cut + 1:]:
-            rewritten = ast.BinOp(node.op, rewritten, self._node(node.right), node.line)
-        return rewritten
+            self._node(node.right)
 
-    def _literal(self, value, names: list[str], folded: int, line: int) -> ast.Literal:
-        """The literal replacing ``folded`` operator, name and call nodes
-        that read or called ``names``."""
+    def _replace(self, node, value, names: list[str], folded: int, mode: int) -> None:
+        """Replace ``node``, whose ``folded`` operator, name and call nodes
+        read or called ``names``, with the literal ``value``.  Source that
+        already spells it is left as it is."""
         functions = [
             name
             for name in names
@@ -333,7 +381,70 @@ class _Rewriter:
         self._report.folded_expressions += folded
         self._report.decoder_calls_evaluated += len(functions)
         self._evaluated.update(functions)
-        return ast.Literal(value, line)
+        self.replaced.add(id(node))
+        first, last = unpack_span(self._spans[id(node)])
+        start, end = self._starts[first], self._ends[last]
+        text, atomic = render_literal(value)
+        if self._source[start:end] != text:
+            if not atomic and mode == _WRAP:
+                text = f"({text})"
+            self.edits.append((start, end, text))
+
+    def _delete_lines(self, first: int, last: int) -> None:
+        """Delete code positions ``first`` to ``last``; when they open their
+        line, with its indentation and through its end (or a ``:``)."""
+        start, end = self._starts[first], self._ends[last]
+        if not first or self._kinds[first - 1] is TokenKind.NEWLINE:
+            start = self._ends[first - 1] if first else 0
+            if self._kinds[last + 1] in _LINE_ENDS or self._texts[last + 1] == ":":
+                end = self._ends[last + 1]
+        self.edits.append((start, end, ""))
+
+    def _opens_statement(self, position: int) -> bool:
+        """Whether a line break or a ``:`` comes before code position ``position``."""
+        return self._kinds[position - 1] is TokenKind.NEWLINE or self._texts[position - 1] == ":"
+
+    def _drop_consts(self, statements: list, dropped: set[str]) -> int:
+        """Delete the dropped module ``Const`` items and count the names
+        dropped.  An item that shares its statement with one that stays
+        goes with the comma between them."""
+        names: set[str] = set()
+        groups: list[list[tuple[bool, int, int]]] = []
+        for statement in statements:
+            if type(statement) is ast.ConstStmt:
+                names.add(statement.name.lower())
+                first, last = unpack_span(self._spans[id(statement)])
+                item = (statement.name.lower() in dropped, first, last)
+                if groups and groups[-1][-1][2] + 2 == first:  # only a comma between
+                    groups[-1].append(item)
+                else:
+                    groups.append([item])
+        for items in groups:
+            kept = next((k for k, (drop, _, _) in enumerate(items) if not drop), None)
+            if kept is None:  # the whole statement, modifiers and all
+                head = items[0][1]
+                while head and not self._opens_statement(head):
+                    head -= 1
+                self._delete_lines(head, items[-1][2])
+                continue
+            if kept:  # the leading items, up to the first name that stays
+                self.edits.append((self._starts[items[0][1]], self._starts[items[kept][1]], ""))
+            for previous, (drop, _, last) in zip(items[kept:], items[kept + 1:]):
+                if drop:  # the comma before it, through its value
+                    self.edits.append((self._starts[previous[2] + 1], self._ends[last], ""))
+        return len(names & dropped)
+
+
+def _splice(source: str, edits: list[tuple[int, int, str]]) -> str:
+    """``source`` with each edit's character range replaced by its text.
+    Edits never overlap but for those inside a deleted declaration, which
+    start after it and go with it."""
+    parts, cursor = [], 0
+    for start, end, text in sorted(edits):
+        if start >= cursor:
+            parts += (source[cursor:start], text)
+            cursor = end
+    return "".join(parts) + source[cursor:]
 
 
 def _renderable(value: object) -> bool:
@@ -353,12 +464,13 @@ def _has_unordered_statements(body: tuple) -> bool:
     return False
 
 
-def _scan(root) -> tuple[list[str], int]:
+def _scan(root, skip: set[int] | frozenset = frozenset()) -> tuple[list[str], int]:
     """The lower-cased names ``root`` reads or calls, and how many of its
-    nodes are not literals."""
+    nodes are not literals, leaving out the subtrees whose ids are in
+    ``skip``."""
     names: list[str] = []
     nodes = 0
-    for node in _walk(root):
+    for node in _walk(root, skip):
         kind = type(node)
         nodes += kind is not ast.Literal
         if kind is ast.Name or kind is ast.Call:
@@ -366,42 +478,42 @@ def _scan(root) -> tuple[list[str], int]:
     return names, nodes
 
 
-def _walk(root):
-    """Every node under ``root`` — iteratively, since chains run 10k deep."""
+def _walk(root, skip: set[int] | frozenset = frozenset()):
+    """Every node under ``root`` but the subtrees whose ids are in
+    ``skip`` — iteratively, since chains run 10k deep."""
     pending = [root]
     while pending:
         node = pending.pop()
         kind = type(node)
         if kind is tuple or kind is list:
             pending.extend(node)
-        elif kind in _FIELDS:
+        elif kind in _FIELDS and id(node) not in skip:
             yield node
             pending.extend(_FIELDS[kind](node))
 
 
-def _drop_unreferenced(module: ast.Module, evaluated: set[str]) -> tuple[tuple, int]:
-    """Remove evaluated functions and module consts nothing references;
-    returns the removed procedures' names and the number of consts.
+def _drop_unreferenced(module: ast.Module, evaluated: set[str], replaced: set[int]) -> set[str]:
+    """The evaluated functions and module consts nothing references once
+    the ``replaced`` nodes are literals.
 
     Other procedures, unreferenced public functions included (they are
     host-callable entry points), are always kept.  A function's return
     assignment names the function itself, which does not keep it alive.
     """
     statements = module.module_statements
-    uses = {key: set(_scan(p.body)[0]) - {key} for key, p in module.procedures.items()}
+    uses = {
+        key: set(_scan(p.body, replaced)[0]) - {key}
+        for key, p in module.procedures.items()
+    }
     consts = {s.name.lower(): s for s in statements if isinstance(s, ast.ConstStmt)}
-    uses.update((key, set(_scan(s.value)[0])) for key, s in consts.items())
-    roots = set(_scan([s for s in statements if not isinstance(s, ast.ConstStmt)])[0])
+    uses.update((key, set(_scan(s.value, replaced)[0])) for key, s in consts.items())
+    roots = set(
+        _scan([s for s in statements if not isinstance(s, ast.ConstStmt)], replaced)[0]
+    )
     droppable = (evaluated | set(consts)) & set(uses)
     dropped: set[str] = set()
     while newly := droppable - dropped - roots.union(
         *(names for key, names in uses.items() if key not in dropped)
     ):
         dropped |= newly
-    module.module_statements = [
-        s for s in statements if not (isinstance(s, ast.ConstStmt) and s.name.lower() in dropped)
-    ]
-    removed = tuple(
-        module.procedures.pop(key).name for key in list(module.procedures) if key in dropped
-    )
-    return removed, len(dropped & set(consts))
+    return dropped

@@ -11,6 +11,7 @@ parallel to them:
   table holds for the position;
 * ``words`` — the lower-cased, suffix-stripped text of a name, the text of
   punctuation or an operator, ``None`` for literals;
+* ``values`` — the decoded value of a string literal, ``None`` elsewhere;
 * ``index`` — each word's ascending positions, so a rule starts at its
   anchor tokens (``Mid``, ``.``, ``Exit``) and tests their neighbours
   through ``words``;
@@ -32,7 +33,7 @@ from heapq import merge
 from typing import TYPE_CHECKING
 
 from repro.vba.analyzer import MacroAnalysis
-from repro.vba.tokens import TokenKind
+from repro.vba.tokens import TokenKind, string_value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sa.records import StringRecovery
@@ -183,6 +184,16 @@ class LintContext:
     def strings(self) -> list[int]:
         """Ascending positions of the string literals."""
         return self._columns[3]
+
+    @cached_property
+    def values(self) -> list[str | None]:
+        """Per position, the decoded value of a string literal (each
+        decoded once), ``None`` elsewhere."""
+        values: list[str | None] = [None] * len(self.words)
+        texts = self.texts
+        for position in self.strings:
+            values[position] = string_value(texts[position])
+        return values
 
     @cached_property
     def statement_of(self) -> list[int]:

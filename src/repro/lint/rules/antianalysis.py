@@ -15,7 +15,7 @@ import re
 from repro.lint.context import LintContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import TokenKind, string_value
+from repro.vba.tokens import TokenKind
 
 _USERFORM = re.compile(r"userform\d*\Z")
 
@@ -191,5 +191,5 @@ class FlowEvasionGuard(Rule):
             nxt == "("
             and index + 2 < end
             and ctx.kinds[index + 2] is TokenKind.STRING
-            and string_value(ctx.texts[index + 2]).upper() in ("USERNAME", "COMPUTERNAME")
+            and ctx.values[index + 2].upper() in ("USERNAME", "COMPUTERNAME")
         )

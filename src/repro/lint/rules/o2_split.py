@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import TokenKind, string_value
+from repro.vba.tokens import TokenKind
 
 _CONCAT = ("&", "+")
 
@@ -39,7 +39,7 @@ class LiteralConcatenation(Rule):
 
     def scan(self, ctx: LintContext):
         kinds = ctx.kinds
-        texts = ctx.texts
+        values = ctx.values
         words = ctx.words
         owner = ctx.statement_of
         string = TokenKind.STRING
@@ -59,14 +59,13 @@ class LiteralConcatenation(Rule):
                 index >= 2 and kinds[index - 2] is string and joins(index - 2)
             ):
                 continue  # no chain here, or the middle of an earlier one
-            literals = [texts[index], texts[index + 2]]
+            literals = [values[index], values[index + 2]]
             end = index + 2
             while joins(end):
-                literals.append(texts[end + 2])
+                literals.append(values[end + 2])
                 end += 2
             short_pair = any(
-                len(string_value(a)) <= self._MAX_FRAGMENT
-                and len(string_value(b)) <= self._MAX_FRAGMENT
+                len(a) <= self._MAX_FRAGMENT and len(b) <= self._MAX_FRAGMENT
                 for a, b in zip(literals, literals[1:])
             )
             if short_pair:
@@ -91,7 +90,7 @@ class FragmentConstant(Rule):
     def scan(self, ctx: LintContext):
         texts = ctx.texts
         for name, value in ctx.const_declarations:
-            text = string_value(texts[value])
+            text = ctx.values[value]
             if 0 < len(text) <= 2:
                 yield self.finding(
                     ctx,
@@ -117,7 +116,7 @@ class DummyStringConstant(Rule):
     def scan(self, ctx: LintContext):
         texts = ctx.texts
         for name, value in ctx.const_declarations:
-            if len(string_value(texts[value])) < 3:
+            if len(ctx.values[value]) < 3:
                 continue  # fragments are the other rule's business
             if ctx.use_counts.get(texts[name].lower(), 0) == 0:
                 yield self.finding(

@@ -15,7 +15,7 @@ from bisect import bisect_left
 
 from repro.lint.context import LintContext
 from repro.lint.registry import Rule, register_rule
-from repro.vba.tokens import TokenKind, string_value
+from repro.vba.tokens import TokenKind
 
 _CHR_NAMES = ("chr", "chrw", "chrb")
 _HEX_DIGITS = re.compile("[0-9a-fA-F]*")
@@ -175,9 +175,9 @@ class HexPackedLiteral(Rule):
     description = "string literal packed as hexadecimal byte pairs"
 
     def scan(self, ctx: LintContext):
-        texts = ctx.texts
+        values = ctx.values
         for index in ctx.strings:
-            value = string_value(texts[index])
+            value = values[index]
             if (
                 len(value) >= 8
                 and len(value) % 2 == 0
@@ -201,9 +201,9 @@ class Base64ShapedLiteral(Rule):
     description = "string literal shaped like Base64 data"
 
     def scan(self, ctx: LintContext):
-        texts = ctx.texts
+        values = ctx.values
         for index in ctx.strings:
-            value = string_value(texts[index])
+            value = values[index]
             stripped = value.rstrip("=")
             if len(value) - len(stripped) > 2:
                 continue

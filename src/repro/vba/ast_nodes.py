@@ -92,7 +92,7 @@ class Assign:
     """``target = expr`` / ``target(idx) = expr`` / ``Set target = expr``.
 
     A :class:`MemberAccess` target is a host-object property write
-    (``Selection.RowHeight = 15``) — preserved for unparsing, inert at
+    (``Selection.RowHeight = 15``) — kept in the tree, inert at
     interpretation time.
     """
 

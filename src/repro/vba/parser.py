@@ -8,7 +8,7 @@ a practical subset of [MS-VBAL] — into the AST of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 from repro.vba import ast_nodes as ast
@@ -46,28 +46,26 @@ _BINARY_BP = {
     "*": 10, "/": 10,
 }
 _NOT_BP = 4
+_POSTFIX = ("(", ".")
 _NAME_KINDS = (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
 
 
-def parse_module(
-    source: str,
-    tolerant: bool = False,
-    tokens: TokenTable | None = None,
-) -> ast.Module:
-    """Parse a whole module: procedures plus module-level statements.
+def parse_module(source: str) -> ast.Module:
+    """Parse a whole module strictly: procedures plus module-level
+    statements, raising :class:`VBAParseError` at the first statement
+    outside the supported subset."""
+    return _Parser(source).parse_module()
 
-    With ``tolerant=True``, statements outside the supported subset are
-    preserved verbatim as :class:`~repro.vba.ast_nodes.NoOpStmt` instead of
-    raising — the mode the de-obfuscator uses so host-I/O chatter
-    (``Declare``, ``Open … For Binary``, ``Put #``) survives unchanged.
 
-    ``tokens`` lets a caller that already lexed ``source`` (the analyzer
-    keeps its :class:`~repro.vba.lexer.TokenTable`) skip the
-    re-tokenization, which dominates parse cost on large modules.  It must
-    be the table :func:`~repro.vba.lexer.lex` built for exactly
-    ``source``; the parser reads the table's columns.
-    """
-    return _Parser(source, tolerant=tolerant, tokens=tokens).parse_module()
+#: A span packs a node's first and last code positions into one int,
+#: ``last * _SPAN_BASE + first``; a one-token node's is its position.
+_SPAN_BASE = 1 << 32
+
+
+def unpack_span(span: int) -> tuple[int, int]:
+    """The ``(first, last)`` code positions of a packed span."""
+    last, first = divmod(span, _SPAN_BASE)
+    return first, last or first
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,16 +79,32 @@ class ModuleParse:
     to that error it takes the strict parse's path, and ``error`` is
     exactly what a strict :func:`parse_module` raises (``None`` when that
     raises no :class:`VBAParseError`).
+
+    ``spans`` maps ``id(node)`` to the packed span (:func:`unpack_span`)
+    of code positions (tokens but whitespace, comments and continuations)
+    it was parsed from: each expression, with its parentheses, but a
+    literal, a member's base and a statement's callee or target; each
+    ``Const`` item, name to value; each procedure, modifiers to ``End Sub``.
     """
 
     module: ast.Module | None
     error: VBAParseError | None
+    spans: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
 
 def parse_tolerant(source: str, tokens: TokenTable | None = None) -> ModuleParse:
-    """A tolerant :func:`parse_module` that never raises a parse failure:
-    :class:`VBAParseError` and :class:`RecursionError` end in a
-    :class:`ModuleParse` without a module."""
+    """Parse a whole module, keeping each statement outside the supported
+    subset verbatim as a :class:`~repro.vba.ast_nodes.NoOpStmt`, so
+    host-I/O chatter (``Declare``, ``Open … For Binary``, ``Put #``)
+    survives; never raises a parse failure: :class:`VBAParseError` and
+    :class:`RecursionError` end in a :class:`ModuleParse` without a module.
+
+    ``tokens`` lets a caller that already lexed ``source`` (the analyzer
+    keeps its :class:`~repro.vba.lexer.TokenTable`) skip the
+    re-tokenization, which dominates parse cost on large modules.  It must
+    be the table :func:`~repro.vba.lexer.lex` built for exactly
+    ``source``; the parser reads the table's columns.
+    """
     parser = _Parser(source, tolerant=True, tokens=tokens)
     try:
         module = parser.parse_module()
@@ -98,7 +112,7 @@ def parse_tolerant(source: str, tokens: TokenTable | None = None) -> ModuleParse
         return ModuleParse(None, parser.first_error or _detached(failure))
     except RecursionError:
         return ModuleParse(None, parser.first_error)
-    return ModuleParse(module, parser.first_error)
+    return ModuleParse(module, parser.first_error, parser.spans)
 
 
 def _detached(error: VBAParseError) -> VBAParseError:
@@ -150,6 +164,8 @@ class _Parser:
         self._pending: list[ast.Statement] = []
         #: the first parse error a tolerant parse recovered from
         self.first_error: VBAParseError | None = None
+        #: ``id(node)`` → packed span (see :class:`ModuleParse`)
+        self.spans: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Cursor helpers.  ``_pos`` is always a valid index: ``_advance`` stops
@@ -218,6 +234,7 @@ class _Parser:
             self._skip_separators()
             if kinds[self._pos] is TokenKind.EOF:
                 break
+            head = self._pos
             self._consume_modifiers()
             if self._at_keyword("sub", "function"):
                 start = self._pos
@@ -239,6 +256,7 @@ class _Parser:
                     raw = self._skip_rest_of_line()
                     module.module_statements.append(ast.NoOpStmt(raw, line))
                     continue
+                self.spans[id(procedure)] = (self._pos - 1) * _SPAN_BASE + head
                 module.procedures[procedure.name.lower()] = procedure
                 continue
             if self._at_keyword("option"):
@@ -432,7 +450,7 @@ class _Parser:
         return first
 
     def _parse_one_const(self, line: int) -> ast.ConstStmt:
-        name = self._texts[self._expect_identifier()]
+        first = self._expect_identifier()
         if self._tags[self._pos] == "as":
             self._advance()
             self._advance()
@@ -440,12 +458,14 @@ class _Parser:
             raise VBAParseError("Const requires '='", line)
         self._advance()
         value = self._parse_expression()
-        return ast.ConstStmt(name, value, line)
+        statement = ast.ConstStmt(self._texts[first], value, line)
+        self.spans[id(statement)] = (self._pos - 1) * _SPAN_BASE + first
+        return statement
 
     def _parse_assignment_or_call(self) -> ast.Statement:
         start = self._pos
         line = self._lines[start]
-        target = self._parse_postfix()
+        target = self._parse_postfix(replaceable=False)
         if self._tags[self._pos] == "=":
             self._advance()
             value = self._parse_expression()
@@ -631,7 +651,7 @@ class _Parser:
 
     def _parse_call_keyword(self) -> ast.Statement:
         line = self._lines[self._expect("call")]
-        target = self._parse_postfix()
+        target = self._parse_postfix(replaceable=False)
         if isinstance(target, ast.Name):
             target = ast.Call(target.name, (), target.line)
         if not isinstance(target, (ast.Call, ast.MemberAccess)):
@@ -655,6 +675,7 @@ class _Parser:
             self._pos = position + 1
             operand = self._parse_expression(_NOT_BP)
             left: ast.Expression = ast.UnaryOp("not", operand, self._lines[position])
+            self.spans[id(left)] = (self._pos - 1) * _SPAN_BASE + position
         else:
             left = self._parse_unary()
         binding = _BINARY_BP.get
@@ -667,6 +688,8 @@ class _Parser:
             self._pos += 1
             right = self._parse_expression(bp + 1)
             left = ast.BinOp(op, left, right, left.line)
+            # Each node of a chain spans from the chain's start.
+            self.spans[id(left)] = (self._pos - 1) * _SPAN_BASE + position
         return left
 
     def _parse_unary(self) -> ast.Expression:
@@ -677,7 +700,9 @@ class _Parser:
         if tag == "-":
             self._pos = position + 1
             operand = self._parse_unary()
-            return ast.UnaryOp("-", operand, self._lines[position])
+            negated = ast.UnaryOp("-", operand, self._lines[position])
+            self.spans[id(negated)] = (self._pos - 1) * _SPAN_BASE + position
+            return negated
         if tag == "+":
             self._pos = position + 1
             return self._parse_unary()
@@ -685,14 +710,20 @@ class _Parser:
         if self._tags[self._pos] == "^":
             self._pos += 1
             right = self._parse_unary()
-            return ast.BinOp("^", left, right, left.line)
+            left = ast.BinOp("^", left, right, left.line)
+            self.spans[id(left)] = (self._pos - 1) * _SPAN_BASE + position
         return left
 
-    def _parse_postfix(self) -> ast.Expression:
+    def _parse_postfix(self, replaceable: bool = True) -> ast.Expression:
+        """A primary and its calls and member accesses.  The span of a
+        statement's target or callee (not ``replaceable``) goes unrecorded."""
+        start = self._pos
         expression = self._parse_primary()
         tags = self._tags
+        tag = tags[self._pos]
+        if tag != "(" and tag != ".":
+            return expression
         while True:
-            tag = tags[self._pos]
             if tag == "(":
                 if not isinstance(expression, (ast.Name, ast.MemberAccess)):
                     raise VBAParseError(
@@ -705,8 +736,7 @@ class _Parser:
                     expression = ast.MemberAccess(
                         expression.base, expression.member, args, expression.line
                     )
-                continue
-            if tag == ".":
+            elif tag == ".":
                 self._pos += 1
                 member = self._advance()
                 if self._kinds[member] not in _NAME_KINDS:
@@ -717,9 +747,13 @@ class _Parser:
                 expression = ast.MemberAccess(
                     expression, self._texts[member], None, self._lines[member]
                 )
-                continue
-            break
-        return expression
+            else:
+                # Only the whole chain may be replaced: its parts are a
+                # callee or a member's base.
+                if replaceable:
+                    self.spans[id(expression)] = (self._pos - 1) * _SPAN_BASE + start
+                return expression
+            tag = tags[self._pos]
 
     def _parse_arguments(self) -> tuple[ast.Expression, ...]:
         """``(a, b, …)``; the cursor is on the ``(``."""
@@ -742,7 +776,10 @@ class _Parser:
         # Every kind matched here sits before EOF, the last position.
         if kind is TokenKind.IDENTIFIER:
             self._pos = position + 1
-            return ast.Name(text, line)
+            name = ast.Name(text, line)
+            if self._tags[position + 1] not in _POSTFIX:  # else a callee or a base
+                self.spans[id(name)] = position
+            return name
         if kind is TokenKind.STRING:
             self._pos = position + 1
             return ast.Literal(string_value(text), line)
@@ -763,11 +800,15 @@ class _Parser:
                 return ast.Literal(None, line)
             # Type-conversion builtins (CStr, CLng, …) lex as keywords but are
             # callable; treat them as names.
-            return ast.Name(text, line)
+            name = ast.Name(text, line)
+            if self._tags[position + 1] not in _POSTFIX:
+                self.spans[id(name)] = position
+            return name
         if text == "(" and kind is TokenKind.PUNCT:
             self._pos = position + 1
             inner = self._parse_expression()
-            self._expect(")")
+            last = self._expect(")")
+            self.spans[id(inner)] = last * _SPAN_BASE + position
             return inner
         raise VBAParseError(f"unexpected token {text!r}", line)
 

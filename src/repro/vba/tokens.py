@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import groupby
+
+from repro.vba.writer import quote_vba_string
 
 
 class TokenKind(enum.Enum):
@@ -80,6 +83,24 @@ def string_value(text: str) -> str:
     if text.endswith('"'):
         text = text[:-1]
     return text.replace('""', '"')
+
+
+def render_literal(value: object) -> tuple[str, bool]:
+    """Source text for a scalar value, and whether it is atomic (binds
+    like a name).  A quote doubles; a string holding control characters
+    renders as its printable runs joined by ``Chr(n)``, a negative number
+    as a unary minus."""
+    if isinstance(value, str):
+        runs = [
+            quote_vba_string("".join(run)) if printable
+            else " & ".join(f"Chr({ord(char)})" for char in run)
+            for printable, run in groupby(value, str.isprintable)
+        ]
+        return " & ".join(runs) or '""', value.isprintable() or len(value) == 1
+    if value is None or isinstance(value, bool):
+        return {None: "Empty", True: "True", False: "False"}[value], True
+    rendered = repr(value) if isinstance(value, float) else str(value)
+    return rendered, not rendered.startswith("-")
 
 
 # Reserved words of the VBA language, per [MS-VBAL] section 3.3.5.  Keyword

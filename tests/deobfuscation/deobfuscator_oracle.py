@@ -8,8 +8,10 @@ interpreter sandbox, and repeats up to ``max_passes`` times.  The differential
 tests require the production engine to parse the same inputs, restore at
 least as many AV detections, keep every long literal this engine recovers,
 and be idempotent.  Kept verbatim, with the sandbox and builtins of the
-interpreter it was written against (:mod:`tests.vba.interpreter_oracle`);
-do not "fix" it.
+interpreter it was written against (:mod:`tests.vba.interpreter_oracle`)
+and the unparser it printed with (:mod:`tests.vba.unparser_oracle`),
+apart from the tolerant parse's entry point
+(:func:`~repro.vba.parser.parse_tolerant`); do not "fix" it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.vba import ast_nodes as ast
 from tests.vba.interpreter_oracle import Interpreter, VBARuntimeError, _BUILTINS
-from repro.vba.parser import VBAParseError, parse_module
-from repro.vba.unparser import unparse_module
+from repro.vba.parser import parse_tolerant
+from tests.vba.unparser_oracle import unparse_module
 
 #: Built-ins safe to fold at de-obfuscation time: pure string/number
 #: functions (no I/O, no host state).
@@ -75,11 +77,11 @@ class Deobfuscator:
 
     def run(self, source: str) -> DeobfuscationResult:
         report = DeobfuscationReport()
-        try:
-            module = parse_module(source, tolerant=True)
-        except VBAParseError as error:
+        parsed = parse_tolerant(source)
+        module = parsed.module
+        if module is None:
             report.parsed = False
-            report.error = str(error)
+            report.error = str(parsed.error)
             return DeobfuscationResult(source=source, report=report)
 
         consts = self._collect_literal_consts(module, report)

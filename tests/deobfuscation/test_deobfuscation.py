@@ -373,7 +373,7 @@ class TestLabels:
         assert "Again:" in lines
         assert "GoTo Again" in once
         assert "Again()" not in once
-        assert 's = "ab"' in lines
+        assert 'i = i + 1: s = "ab"' in lines
         assert deobfuscate(once).source == once
 
 

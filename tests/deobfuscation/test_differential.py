@@ -32,10 +32,12 @@ SEEDS = (0, 1, 2)
 
 
 def _literals(source: str) -> list[str]:
+    # A date literal counts with its text: the oracle printed
+    # ``#1/1/2015#`` as the string ``"#1/1/2015#"``, the splice keeps it.
     return [
-        token.string_value
+        token.string_value if token.kind is TokenKind.STRING else token.text
         for token in tokenize(source)
-        if token.kind is TokenKind.STRING
+        if token.kind is TokenKind.STRING or token.kind is TokenKind.DATE
     ]
 
 

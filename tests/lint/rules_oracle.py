@@ -296,7 +296,7 @@ class BrokenCodeShadow(Rule):
         if not exit_lines:
             return
         try:
-            parse_module(ctx.analysis.source, tokens=ctx.analysis.table)
+            parse_module(ctx.analysis.source)
             return  # everything parses: nothing broken after the exit
         except VBAParseError as error:
             for exit_line in exit_lines:

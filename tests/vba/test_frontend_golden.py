@@ -22,7 +22,7 @@ from repro.corpus.builder import CorpusBuilder, paper_profile
 from repro.corpus.malicious import generate_malicious_macro
 from repro.obfuscation.pipeline import default_pipeline
 from repro.vba.analyzer import analyze
-from repro.vba.parser import VBAParseError, parse_module
+from repro.vba.parser import parse_tolerant
 
 GOLDEN_SHA256 = "0117b292f6e58b68c3954789ed6abc8b48c3363fda4e353de1d76985ed1dcf61"
 
@@ -82,10 +82,8 @@ def front_end_digest(sources) -> str:
         for field in dataclasses.fields(summary):
             digest.update(field.name.encode())
             digest.update(_field_bytes(getattr(summary, field.name)))
-        try:
-            tree = repr(parse_module(source, tolerant=True))
-        except VBAParseError as error:
-            tree = f"error: {error}"
+        parsed = parse_tolerant(source)
+        tree = repr(parsed.module) if parsed.module is not None else f"error: {parsed.error}"
         digest.update(tree.encode())
         digest.update(b"\2")
     return digest.hexdigest()

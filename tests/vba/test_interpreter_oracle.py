@@ -31,7 +31,7 @@ from repro.obfuscation.pipeline import default_pipeline
 from repro.obfuscation.rename import RandomRenamer
 from repro.obfuscation.split import DummyStringInserter, StringSplitter
 from repro.vba import interpreter as walker
-from repro.vba.parser import VBAParseError, parse_module
+from repro.vba.parser import parse_module, parse_tolerant
 from tests.lint.test_rules_oracle import training_sources
 from tests.obfuscation.test_antianalysis import DOWNLOADER_SUB, PAYLOAD_MODULE
 from tests.obfuscation.test_transforms import GREETING_MODULE, URL_MODULE
@@ -102,9 +102,8 @@ def compare(module, name="", args=(), host_values=None) -> bool:
 def compare_source(source, host_values=None, zero_argument_only=True) -> tuple[int, int]:
     """Compare module construction and every procedure call of ``source``;
     returns (compared, skipped)."""
-    try:
-        module = parse_module(source, tolerant=True)
-    except (VBAParseError, RecursionError):
+    module = parse_tolerant(source).module
+    if module is None:
         return 0, 0
     calls = [("", ())]
     for procedure in module.procedures.values():

@@ -3,12 +3,16 @@
 Real-world macro sources (and the corpus obfuscator's output) lean on
 syntax the happy-path tests skipped: ``_`` line continuations with
 trailing whitespace, colon-separated statement sequences, multi-name
-``Const`` declarations.  Each case round-trips parser → unparser →
-parser to prove the AST is faithful, and a property sweep over the
-synthetic corpus keeps the tolerant mode total.
+``Const`` declarations.  Each case checks the parser's spans: the
+source text of every node the parse recorded a span for parses again to
+an equal node.  A property sweep over the synthetic corpus keeps the
+tolerant mode total, and the span check also runs over the front-end
+golden corpus.
 """
 
+import dataclasses
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -18,17 +22,64 @@ from repro.corpus.benign import generate_benign_module
 from repro.corpus.malicious import generate_malicious_macro
 from repro.obfuscation.pipeline import default_pipeline
 from repro.vba import ast_nodes as ast
-from repro.vba.parser import parse_module
-from repro.vba.unparser import unparse_module
+from repro.vba.lexer import LAYOUT_KINDS, lex
+from repro.vba.parser import parse_module, parse_statements, parse_tolerant, unpack_span
+from tests.vba.test_frontend_golden import corpus_sources
+
+_SPANNED = (ast.Name, ast.Call, ast.MemberAccess, ast.UnaryOp, ast.BinOp)
+_FIXED = {(ast.CallStmt, "call"), (ast.Assign, "target"), (ast.MemberAccess, "base")}
+
+
+def _spanned_nodes(module: ast.Module) -> list:
+    """The nodes of ``module`` that carry a span: expressions but a
+    literal, a member's base and a statement's callee or target (their
+    parts do), ``Const`` items and procedures."""
+    found = []
+    pending = [(module.procedures, False), (module.module_statements, False)]
+    while pending:
+        node, fixed = pending.pop()
+        if isinstance(node, dict):
+            pending.extend((value, False) for value in node.values())
+        elif isinstance(node, (tuple, list)):
+            pending.extend((item, False) for item in node)
+        elif dataclasses.is_dataclass(node):
+            if not fixed and isinstance(node, (*_SPANNED, ast.ConstStmt, ast.Procedure)):
+                found.append(node)
+            for field in dataclasses.fields(node):
+                part = getattr(node, field.name)
+                pending.append((part, (type(node), field.name) in _FIXED))
+    return found
+
+
+def assert_spans_reparse(source: str) -> ast.Module | None:
+    """Parse ``source`` tolerantly and check that the text of every
+    recorded span, on its own line, parses to an equal node."""
+    table = lex(source)
+    parsed = parse_tolerant(source, table)
+    if parsed.module is None:
+        return None
+    code = [index for index, kind in enumerate(table.kinds) if kind not in LAYOUT_KINDS]
+    offsets = list(accumulate(map(len, table.texts), initial=0))
+    for node in _spanned_nodes(parsed.module):
+        first, last = unpack_span(parsed.spans[id(node)])
+        text = source[offsets[code[first]] : offsets[code[last] + 1]]
+        if isinstance(node, ast.Procedure):
+            pad = "\n" * (table.lines[code[first]] - 1)
+            again = parse_tolerant(pad + text).module.procedures[node.name.lower()]
+        elif isinstance(node, ast.ConstStmt):
+            (again,) = parse_statements("\n" * (node.line - 1) + "Const " + text)
+        else:
+            pad = "\n" * (table.lines[code[first]] - 1)
+            again = parse_statements(f"{pad}x = {text}")[0].value
+        assert again == node, text
+    return parsed.module
 
 
 def roundtrip(source: str) -> ast.Module:
-    """parse → unparse → parse; both parses must agree structurally."""
-    first = parse_module(source)
-    rendered = unparse_module(first)
-    second = parse_module(rendered)
-    assert unparse_module(second) == rendered
-    return first
+    """A strict parse whose spans re-parse (see :func:`assert_spans_reparse`)."""
+    module = assert_spans_reparse(source)
+    assert repr(module) == repr(parse_module(source))
+    return module
 
 
 class TestLineContinuations:
@@ -77,10 +128,14 @@ class TestColonStatements:
         assert len(module.procedures["a"].body) == 2
 
 
+def _parse(source: str, tolerant: bool) -> ast.Module:
+    return parse_tolerant(source).module if tolerant else parse_module(source)
+
+
 class TestLineLabels:
     @pytest.mark.parametrize("tolerant", [False, True])
     def test_label_alone_on_its_line(self, tolerant):
-        module = parse_module(
+        module = _parse(
             "Sub A()\nAgain:\n    i = i + 1\nEnd Sub", tolerant=tolerant
         )
         label, step = module.procedures["a"].body
@@ -89,7 +144,7 @@ class TestLineLabels:
 
     @pytest.mark.parametrize("tolerant", [False, True])
     def test_label_before_a_statement(self, tolerant):
-        module = parse_module(
+        module = _parse(
             "Sub A()\n    Again: i = i + 1\nEnd Sub", tolerant=tolerant
         )
         label, step = module.procedures["a"].body
@@ -159,7 +214,7 @@ class TestTolerantMode:
         ],
     )
     def test_tolerant_mode_never_raises(self, junk):
-        module = parse_module(junk, tolerant=True)
+        module = parse_tolerant(junk).module
         assert isinstance(module, ast.Module)
 
 
@@ -171,10 +226,7 @@ class TestCorpusProperty:
     def test_benign_corpus_parses_and_roundtrips(self, seed):
         rng = random.Random(seed)
         source = generate_benign_module(rng, target_length=rng.randint(200, 2000))
-        module = parse_module(source, tolerant=True)
-        rendered = unparse_module(module)
-        reparsed = parse_module(rendered, tolerant=True)
-        assert unparse_module(reparsed) == rendered
+        assert isinstance(assert_spans_reparse(source), ast.Module)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -182,5 +234,10 @@ class TestCorpusProperty:
         rng = random.Random(seed)
         plain = generate_malicious_macro(rng, rng.choice(("word", "excel")))
         obfuscated = default_pipeline().run(plain, seed=seed).source
-        module = parse_module(obfuscated, tolerant=True)
+        module = parse_tolerant(obfuscated).module
         assert module.procedures
+
+
+def test_golden_corpus_spans_reparse():
+    parsed = [assert_spans_reparse(source) for source in corpus_sources()]
+    assert sum(module is not None for module in parsed) > 50

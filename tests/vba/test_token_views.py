@@ -15,7 +15,7 @@ from repro import ObfuscationDetector
 from repro.engine import AnalysisEngine
 from repro.features.matrix import extract_matrices
 from repro.vba import lexer
-from repro.vba.parser import parse_module
+from repro.vba.parser import parse_tolerant
 from tests.vba.test_frontend_golden import corpus_sources
 
 
@@ -40,7 +40,7 @@ def test_feature_matrices_build_no_views(view_count):
 
 def test_parse_module_builds_no_views(view_count):
     for source in corpus_sources():
-        parse_module(source, tolerant=True)
+        parse_tolerant(source)
     assert view_count[0] == 0
 
 

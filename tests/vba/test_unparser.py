@@ -1,4 +1,12 @@
-"""Tests for the AST unparser."""
+"""Tests for literal rendering and for the reference unparser.
+
+:func:`repro.vba.tokens.render_literal` spells the literals the
+de-obfuscation engine splices into a module.  The unparser lives on as
+``tests/vba/unparser_oracle.py``, the normal form the splice is compared
+with against the previous engine (``tests/deobfuscation/test_splice.py``);
+the fixpoint, semantics and statement-call tests here pin that it
+normalizes faithfully.
+"""
 
 import random
 
@@ -9,8 +17,9 @@ from hypothesis import strategies as st
 from repro.corpus.benign import generate_benign_macro
 from repro.corpus.malicious import generate_malicious_macro
 from repro.vba.interpreter import run_function
-from repro.vba.parser import parse_module
-from repro.vba.unparser import unparse_expression, unparse_module
+from repro.vba.parser import parse_module, parse_tolerant
+from repro.vba.tokens import render_literal
+from tests.vba.unparser_oracle import unparse_module
 
 ROUND_TRIP_SOURCES = [
     # Expressions with every operator / precedence interaction.
@@ -66,7 +75,8 @@ ROUND_TRIP_SOURCES = [
 
 
 def normalize(source: str, tolerant: bool = False) -> str:
-    return unparse_module(parse_module(source, tolerant=tolerant))
+    module = parse_tolerant(source).module if tolerant else parse_module(source)
+    return unparse_module(module)
 
 
 class TestFixpoint:
@@ -163,10 +173,7 @@ class TestExpressionRendering:
         assert "a * b + 2" in rendered
 
     def test_string_literal_escaping(self):
-        from repro.vba import ast_nodes as ast
-
-        rendered = unparse_expression(ast.Literal('say "hi"'))
-        assert rendered == '"say ""hi"" now"'.replace(" now", "")
+        assert render_literal('say "hi"') == ('"say ""hi"""', True)
 
     def test_power_right_associativity(self):
         source = "Function F(x)\n    F = 2 ^ 3 ^ 2\nEnd Function\n"
@@ -223,3 +230,23 @@ class TestStatementPositionCalls:
     )
     def test_parenthesized_first_argument_keeps_call(self, statement, expected):
         assert self.round_trip(statement) == expected
+
+
+class TestLiteralRendering:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("", ('""', True)),
+            ("a\r\nb", ('"a" & Chr(13) & Chr(10) & "b"', False)),
+            ("\n", ("Chr(10)", True)),
+            ('\t"q"', ('Chr(9) & """q"""', False)),
+            (7, ("7", True)),
+            (-7, ("-7", False)),
+            (2.5, ("2.5", True)),
+            (-0.0, ("-0.0", False)),
+            (True, ("True", True)),
+            (None, ("Empty", True)),
+        ],
+    )
+    def test_render_literal(self, value, expected):
+        assert render_literal(value) == expected

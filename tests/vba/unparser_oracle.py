@@ -1,9 +1,11 @@
-"""Render the VBA subset AST back to source text.
+"""The AST unparser, kept as the reference normalizer.
 
-The inverse of :mod:`repro.vba.parser` for the executable subset; used by
-the de-obfuscation engine to emit simplified modules.  The renderer is
-normalizing (4-space indents, one statement per line), so
-``unparse(parse(unparse(parse(x))))`` is a fixpoint — property-tested.
+This renderer printed the de-obfuscated module until
+:func:`repro.deobfuscation.deobfuscate` began splicing folded literals
+into the input instead.  It is normalizing (4-space indents, one
+statement per line, comments and ``As`` types dropped), so the splice is
+checked against the previous engine by comparing ``unparse_module`` of
+both outputs' parses.  Kept verbatim; do not "fix" it.
 """
 
 from __future__ import annotations
