@@ -467,7 +467,8 @@ def _has_unordered_statements(body: tuple) -> bool:
 def _scan(root, skip: set[int] | frozenset = frozenset()) -> tuple[list[str], int]:
     """The lower-cased names ``root`` reads or calls, and how many of its
     nodes are not literals, leaving out the subtrees whose ids are in
-    ``skip``."""
+    ``skip``.  A statement the parser kept verbatim may read any word of
+    its text."""
     names: list[str] = []
     nodes = 0
     for node in _walk(root, skip):
@@ -475,6 +476,8 @@ def _scan(root, skip: set[int] | frozenset = frozenset()) -> tuple[list[str], in
         nodes += kind is not ast.Literal
         if kind is ast.Name or kind is ast.Call:
             names.append(node.name.lower())
+        elif kind is ast.NoOpStmt:
+            names.extend(filter(None, lex(node.text).words))
     return names, nodes
 
 

@@ -2,34 +2,34 @@
 bytes to verdict.
 
 Every entry point of the repo — CLI commands, the dataset builder, the
-experiment runner, the examples — drives this engine instead of gluing
-extraction / analysis / featurization together privately.  The engine:
+experiment runner, the serving gateway, the examples — drives this engine
+instead of gluing extraction / analysis / featurization together
+privately.  The engine:
 
 * threads a :class:`~repro.engine.records.DocumentRecord` through the
-  configured stages (extract → filter → analyze → featurize → classify);
+  configured stages (extract → filter → analyze → featurize → classify,
+  with optional lint and recover stages);
 * is **total**: per-file failures become error diagnostics on the record,
   never exceptions (N inputs in, N records out);
 * memoizes whole-document results in a content-hash (SHA-256) cache, so
   duplicate attachments are analyzed once;
-* fans batches out over a persistent warm
-  :class:`~repro.engine.stream.StreamingPool` with
-  ``run_batch(inputs, jobs=N)``, and exposes the same pool as a true
-  streaming front-end via :meth:`AnalysisEngine.stream` (documents from
-  an iterator, bounded-window backpressure, results yielded as they
-  complete under an ordering contract).
+* runs every document under a :class:`~repro.resilience.budgets.Budget`
+  (input size, wall clock, optional hard per-stage watchdog, macro
+  count/volume caps); a stage that crashes mid-pipeline degrades the
+  record instead of losing it, and later stages still run over what
+  exists.
+
+``run(doc)`` is the serial path.  ``run_batch(inputs, jobs=N)``,
+:meth:`AnalysisEngine.stream` and :meth:`AnalysisEngine.astream` fan
+documents out over one persistent warm
+:class:`~repro.engine.stream.StreamingPool` (bounded-window
+backpressure, an ordering contract, results back over each worker's
+result pipe).  With one task in flight per worker, blame for a dead
+worker is per task: the document is retried with capped backoff and
+quarantined when retries run out, and only the dead worker is rebuilt.
 
 Records served from the cache share their macro list with the original
 record; treat records as read-only after a run.
-
-The engine is **resilient** as well as total (see :mod:`repro.resilience`):
-every document runs under a :class:`~repro.resilience.budgets.Budget`
-(input size, wall clock, optional hard per-stage watchdog, macro
-count/volume caps), a stage that crashes mid-pipeline degrades the record
-instead of losing it (later stages still run over what exists), and
-``run_batch(jobs=N)`` survives worker death — with one task in flight per
-worker, blame is per-task: the blamed document is retried with capped
-backoff and quarantined when retries are exhausted, while only the dead
-worker is rebuilt (survivors stay warm, no bisection rounds).
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ class AnalysisEngine:
         chaos=None,
         mp_context: str | None = None,
         feature_cache_size: int = 4096,
-        shm_threshold: int | None = None,
     ) -> None:
         if stages is None:
             stages = default_stages(
@@ -157,10 +156,6 @@ class AnalysisEngine:
             self.stages.insert(position, ChaosStage(chaos))
         self.feature_sets = tuple(feature_sets)
         self.keep_analysis = keep_analysis
-        #: worker→parent results at or above this pickle size travel over a
-        #: shared-memory segment instead of the result pipe (None = default
-        #: threshold, <= 0 disables shm transport entirely)
-        self.shm_threshold = shm_threshold
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._feature_cache = self._wire_feature_cache(feature_cache_size)
         self._cache: dict[str, DocumentRecord] | None = (

@@ -1,10 +1,8 @@
-"""The streaming warm-pool engine: persistent workers, per-task dispatch,
+"""The streaming warm pool: persistent workers, per-task dispatch,
 backpressure.
 
-``run_batch(jobs=N)`` used to build a fresh ``ProcessPoolExecutor`` per
-call and schedule work in barrier rounds: every call re-paid worker spawn
-and import cost, and one slow document stalled its whole round.  A
-:class:`StreamingPool` replaces both decisions for gateway-scale traffic:
+A :class:`StreamingPool` runs documents through ``engine._process`` in
+worker processes:
 
 * **persistent warm workers** — each worker is spawned once per pool
   lifetime, unpickles the engine exactly once in its initializer (which
@@ -12,9 +10,8 @@ and import cost, and one slow document stalled its whole round.  A
   list), and then serves tasks for as long as the pool lives.  Repeated
   ``run_batch`` calls on the same engine reuse the same warm pool;
 * **per-task dispatch** — documents are submitted one at a time as
-  worker slots free up, and results are yielded as they complete.  There
-  are no barrier rounds: a pathological document delays only the worker
-  holding it;
+  worker slots free up, and results are yielded as they complete, so a
+  pathological document delays only the worker holding it;
 * **backpressure** — the pool admits at most ``window`` documents beyond
   what the consumer has taken (in flight + awaiting dispatch + completed
   but unyielded), pulling from the input iterator lazily.  A 1M-document
@@ -25,8 +22,7 @@ and import cost, and one slow document stalled its whole round.  A
   ``ordered=False`` yields in completion order for maximum throughput;
 * **per-task blame** — every worker slot is its own single-process
   executor with exactly one task in flight, so a dead worker indicts
-  exactly the task it was holding.  The bisection rounds of the old
-  round-based recovery disappear: the blamed task is retried under the
+  exactly the task it was holding: the task is retried under the
   engine's :class:`~repro.resilience.recovery.RetryPolicy` (capped
   exponential backoff) and quarantined when retries are exhausted, while
   only the dead slot is rebuilt — surviving workers stay warm.
@@ -38,50 +34,37 @@ one result at a time on a private event loop — so ``run_batch``,
 ``AnalysisEngine.stream`` and the serving gateway share every deadline,
 blame and coalescing rule.
 
-Worker telemetry folds back **incrementally**: every
-``telemetry_every``-th task a worker attaches a registry snapshot to its
-result and resets, and a final flush at end of stream collects the
-remainder — so a long-lived stream's parent registry trails the workers
-by a bounded interval instead of an entire batch.
+There is one transport as well: a task returns ``(record, pid,
+telemetry)``, pickled through its executor's own result pipe, whatever
+the record's size.  Every ``_TELEMETRY_EVERY``-th task a worker attaches
+a registry snapshot as ``telemetry`` and resets, and a final flush at end
+of stream collects the remainder — so a long-lived stream's parent
+registry trails the workers by a bounded interval instead of an entire
+batch.
 
-Each task is one document through ``engine._process``, so the
-vectorized stages' micro-batch accumulators (featurize *and* classify)
-flush once per streamed document: a 500-module attachment costs one
-feature-matrix pass and one ``proba_from_matrix`` call inside its
-worker.  Because those kernels are row-stable (:mod:`repro.ml.linalg`),
-a macro scored through the stream is bit-identical to the same macro
-scored serially or through the bare-source ``run_source`` path.
-
-Large results skip the result pipe: a worker whose pickled record reaches
-the engine's ``shm_threshold`` (default 64 KiB) writes the pickle into a
-reused ``multiprocessing.shared_memory`` segment and returns only a tiny
-descriptor (name, generation, length, digest); the parent maps the
-segment, verifies the header and BLAKE2 digest, and unpickles straight
-from shared memory — one copy instead of a chunked pipe write + read.
-Segments are pooled per worker (a free list, reclaimed one task later,
-when the parent has provably consumed the previous result) and a failed
-segment allocation falls back to the ordinary pickle return.
+Each task is one document, so the vectorized stages' micro-batch
+accumulators (featurize *and* classify) flush once per streamed
+document: a 500-module attachment costs one feature-matrix pass and one
+``proba_from_matrix`` call inside its worker.  Because those kernels are
+row-stable (:mod:`repro.ml.linalg`), a macro scored through the stream
+is bit-identical to the same macro scored serially or through the
+bare-source ``run_source`` path.
 
 Metrics: ``stream.in_flight`` / ``stream.queue_depth`` gauges track peak
 window occupancy and reorder-buffer depth, ``stream.tasks`` /
 ``stream.worker_restarts`` count work and worker deaths,
-``stream.tasks_per_sec`` records the last stream's throughput,
-``stream.shm_results`` / ``stream.shm_bytes`` / ``stream.shm_fallback``
-count shared-memory result traffic (``stream.shm_segment_bytes`` gauges
-the last segment's size), and the ``resilience.pool_failures`` /
-``resilience.retries`` / ``resilience.quarantined`` counters keep their
-PR-4 meanings (with ``resilience.bisections`` now structurally zero).
+``stream.tasks_per_sec`` records the last stream's throughput, and the
+``resilience.pool_failures`` / ``resilience.retries`` /
+``resilience.quarantined`` counters count dead workers, retries and
+quarantined documents.
 """
 
 from __future__ import annotations
 
 import asyncio
-import atexit
-import hashlib
 import multiprocessing
 import os
 import pickle
-import struct
 import threading
 import time
 import weakref
@@ -90,7 +73,6 @@ from collections.abc import AsyncIterator, Iterable, Iterator
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 
 from repro.engine.records import DocumentRecord
 from repro.resilience import recovery as _recovery
@@ -98,52 +80,13 @@ from repro.resilience.quarantine import quarantine_record
 from repro.resilience.recovery import DEFAULT_RETRY, RetryPolicy
 
 #: Tasks a worker completes between incremental telemetry flushes.
-DEFAULT_TELEMETRY_EVERY = 16
+_TELEMETRY_EVERY = 16
 
 #: Seconds :meth:`StreamingPool.close` waits for its executors to shut down.
 _CLOSE_JOIN_S = 2.0
 
 #: Default backpressure window per worker when none is given.
 _WINDOW_PER_JOB = 4
-
-#: Pickled results at or above this many bytes ride shared memory when the
-#: engine doesn't set its own ``shm_threshold``.
-DEFAULT_SHM_THRESHOLD = 64 * 1024
-
-#: Segment layout: ``<generation u64><payload length u64><digest><payload>``.
-_SHM_HEADER = struct.Struct("<QQ")
-_SHM_DIGEST_SIZE = 16
-_SHM_PAYLOAD_OFFSET = _SHM_HEADER.size + _SHM_DIGEST_SIZE
-#: Fresh segments round up to this size so steady-state traffic reuses a
-#: handful of segments instead of allocating per result.
-_SHM_MIN_SEGMENT = 256 * 1024
-#: Idle segments a worker keeps pooled before unlinking the excess.
-_SHM_MAX_FREE = 4
-
-
-def _shm_unregister(segment: shared_memory.SharedMemory) -> None:
-    """Keep the resource tracker out of segment lifetime.
-
-    Ownership is explicit here — workers unlink their own segments (atexit
-    at the latest) and the parent unlinks anything a dead worker left
-    behind — so the per-process tracker would only add spurious
-    leaked-object warnings and premature unlinks on worker death.
-    """
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # tracking is best-effort bookkeeping, never fatal
-        pass
-
-
-@dataclass(frozen=True, slots=True)
-class _ShmResult:
-    """Descriptor for a record parked in a shared-memory segment."""
-
-    name: str
-    generation: int
-    length: int
-    digest: bytes
-
 
 @dataclass(slots=True)
 class StreamResult:
@@ -214,7 +157,7 @@ def deadline_limited(record: DocumentRecord) -> bool:
 class _Slot:
     """One worker seat: a single-process executor we can rebuild alone."""
 
-    __slots__ = ("index", "executor", "pid", "unflushed", "shm_names")
+    __slots__ = ("index", "executor", "pid", "unflushed")
 
     def __init__(self, index: int, executor: ProcessPoolExecutor) -> None:
         self.index = index
@@ -222,9 +165,6 @@ class _Slot:
         self.pid: int | None = None
         #: tasks completed since the worker last shipped telemetry
         self.unflushed = 0
-        #: shared-memory segment names this slot's worker has handed us —
-        #: the parent unlinks them if the worker dies without cleaning up
-        self.shm_names: set[str] = set()
 
 
 class StreamingPool:
@@ -244,8 +184,6 @@ class StreamingPool:
         window: int | None = None,
         retry: RetryPolicy | None = None,
         mp_context: str | None = None,
-        telemetry_every: int = DEFAULT_TELEMETRY_EVERY,
-        warm_start: bool = True,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.window = (
@@ -257,7 +195,6 @@ class StreamingPool:
             # A window smaller than the pool would idle paid-for workers.
             self.window = self.jobs
         self.retry = retry if retry is not None else DEFAULT_RETRY
-        self.telemetry_every = max(0, int(telemetry_every))
         self._engine_ref = weakref.ref(engine)
         self._metrics = engine.metrics
         self._engine_pickle = pickle.dumps(engine)
@@ -272,8 +209,7 @@ class StreamingPool:
         self.peak_dispatched = 0  # peak tasks simultaneously on workers
         self.tasks_completed = 0
         self._slots = [self._new_slot(index) for index in range(self.jobs)]
-        if warm_start:
-            self.warm_up(wait_ready=False)
+        self.warm_up(wait_ready=False)
 
     # -- worker lifecycle ----------------------------------------------
 
@@ -284,7 +220,7 @@ class StreamingPool:
             initializer=_stream_worker_init,
             initargs=(
                 self._engine_pickle,
-                self.telemetry_every if self._metrics.enabled else 0,
+                _TELEMETRY_EVERY if self._metrics.enabled else 0,
             ),
         )
         return _Slot(index, executor)
@@ -320,33 +256,12 @@ class StreamingPool:
             metrics.counter("stream.worker_restarts").inc()
             span = metrics.span("pool.recover").start()
         slot.executor.shutdown(wait=False, cancel_futures=True)
-        self._unlink_segments(slot)  # the dead worker can't clean up
         slot.executor = self._new_slot(slot.index).executor
         slot.pid = None
         slot.unflushed = 0  # whatever the dead worker held is gone
         self.worker_restarts += 1
         if span is not None:
             span.finish(outcome="error")
-
-    @staticmethod
-    def _unlink_segments(slot: _Slot) -> None:
-        """Destroy every segment this slot's worker ever handed over.
-
-        Live workers unlink their own segments (atexit at the latest), so
-        a missing name here just means the worker beat us to it.
-        """
-        for name in slot.shm_names:
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except (FileNotFoundError, OSError):
-                continue
-            _shm_unregister(segment)
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-        slot.shm_names.clear()
 
     def worker_pids(self) -> list[int | None]:
         """Last-known worker pid per slot (None before a slot's first task)."""
@@ -367,7 +282,6 @@ class StreamingPool:
         for slot in self._slots:
             managers.append(getattr(slot.executor, "_executor_manager_thread", None))
             slot.executor.shutdown(wait=False, cancel_futures=True)
-            self._unlink_segments(slot)
         # Let each executor finish shutting down, so an interpreter exit
         # right after close() does not race a half-closed executor (the
         # stdlib exit hook writes to its wakeup pipe unlocked).  Bounded: a
@@ -734,73 +648,18 @@ class StreamingPool:
             idle.append(slot)
             return 0, self._settle_failure(task, error, waiting, buffer, primaries)
         idle.append(slot)
-        raw, pid, telemetry = payload
+        record, pid, telemetry = payload
         slot.pid = pid
         slot.unflushed += 1
         if telemetry is not None:
             slot.unflushed = 0
             if engine is not None:
                 engine._merge_worker_telemetry(telemetry)
-        try:
-            record = (
-                self._materialize(slot, raw) if isinstance(raw, _ShmResult) else raw
-            )
-        except Exception as error:
-            # A corrupt/vanished segment indicts only this task; the
-            # worker recomputes it on retry.
-            return 0, self._settle_failure(task, error, waiting, buffer, primaries)
         self.tasks_completed += 1
         if metrics.enabled:
             metrics.counter("stream.tasks").inc()
         self._settle_success(task, record, buffer, primaries)
         return 1, None
-
-    def _materialize(self, slot: _Slot, descriptor: _ShmResult) -> DocumentRecord:
-        """Decode one record out of a worker's shared-memory segment.
-
-        Called during settle, while the slot is out of the idle list — the
-        worker cannot start another task (and so cannot reclaim or rewrite
-        this segment) until we return.  The generation/length header and
-        the BLAKE2 payload digest guard against ever decoding a stale or
-        torn write; any mismatch raises, which routes the task through the
-        ordinary retry path.
-        """
-        segment = shared_memory.SharedMemory(name=descriptor.name)
-        _shm_unregister(segment)
-        slot.shm_names.add(descriptor.name)
-        try:
-            generation, length = _SHM_HEADER.unpack_from(segment.buf, 0)
-            if (
-                generation != descriptor.generation
-                or length != descriptor.length
-            ):
-                raise RuntimeError(
-                    f"shared-memory segment {descriptor.name} header "
-                    f"(generation {generation}, length {length}) does not "
-                    f"match its descriptor (generation "
-                    f"{descriptor.generation}, length {descriptor.length})"
-                )
-            payload = segment.buf[_SHM_PAYLOAD_OFFSET : _SHM_PAYLOAD_OFFSET + length]
-            try:
-                digest = hashlib.blake2b(
-                    payload, digest_size=_SHM_DIGEST_SIZE
-                ).digest()
-                if digest != descriptor.digest:
-                    raise RuntimeError(
-                        f"shared-memory segment {descriptor.name} payload "
-                        "failed its digest check"
-                    )
-                record = pickle.loads(payload)
-            finally:
-                payload.release()
-            metrics = self._metrics
-            if metrics.enabled:
-                metrics.counter("stream.shm_results").inc()
-                metrics.counter("stream.shm_bytes").inc(length)
-                metrics.gauge("stream.shm_segment_bytes").set(segment.size)
-            return record
-        finally:
-            segment.close()
 
     def _submit(self, slot: _Slot, task: _Task) -> Future:
         """Submit one task to one slot, reviving the slot if it died idle."""
@@ -929,103 +788,6 @@ def _stream_worker_init(engine_pickle: bytes, telemetry_every: int) -> None:
     _WORKER_STATE["engine"] = engine
     _WORKER_STATE["telemetry_every"] = telemetry_every
     _WORKER_STATE["since_flush"] = 0
-    threshold = getattr(engine, "shm_threshold", None)
-    if threshold is None:
-        threshold = DEFAULT_SHM_THRESHOLD
-    elif threshold <= 0:
-        threshold = None  # shm transport disabled for this engine
-    _WORKER_STATE["shm_threshold"] = threshold
-    _WORKER_STATE["shm_free"] = []  # segments ready for reuse
-    _WORKER_STATE["shm_busy"] = []  # handed to the parent, reclaim next task
-    _WORKER_STATE["shm_generation"] = 0
-    atexit.register(_shm_worker_cleanup)
-
-
-def _shm_worker_cleanup() -> None:
-    """Worker exit: destroy every segment this process still owns."""
-    for segment in _WORKER_STATE.get("shm_free", []) + _WORKER_STATE.get(
-        "shm_busy", []
-    ):
-        try:
-            segment.close()
-            segment.unlink()
-        except Exception:
-            pass  # the parent unlinks leftovers on slot teardown
-
-
-def _shm_reclaim() -> None:
-    """Called at task start: segments handed over with the *previous*
-    result are consumable again — the parent settled that result before
-    dispatching this task to this worker (one task in flight per slot)."""
-    state = _WORKER_STATE
-    busy = state["shm_busy"]
-    if not busy:
-        return
-    free = state["shm_free"]
-    free.extend(busy)
-    busy.clear()
-    while len(free) > _SHM_MAX_FREE:
-        segment = free.pop(0)
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _shm_export(payload: bytes) -> _ShmResult | None:
-    """Park one pickled record in a (pooled) segment; None = fall back."""
-    state = _WORKER_STATE
-    needed = _SHM_PAYLOAD_OFFSET + len(payload)
-    free = state["shm_free"]
-    segment = None
-    for index, candidate in enumerate(free):
-        if candidate.size >= needed:
-            segment = free.pop(index)
-            break
-    if segment is None:
-        try:
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(needed, _SHM_MIN_SEGMENT)
-            )
-        except OSError:  # /dev/shm exhausted or unavailable
-            engine = state["engine"]
-            if engine.metrics.enabled:
-                engine.metrics.counter("stream.shm_fallback").inc()
-            return None
-        _shm_unregister(segment)
-    state["shm_generation"] += 1
-    generation = state["shm_generation"]
-    digest = hashlib.blake2b(payload, digest_size=_SHM_DIGEST_SIZE).digest()
-    _SHM_HEADER.pack_into(segment.buf, 0, generation, len(payload))
-    segment.buf[_SHM_HEADER.size : _SHM_PAYLOAD_OFFSET] = digest
-    segment.buf[_SHM_PAYLOAD_OFFSET : _SHM_PAYLOAD_OFFSET + len(payload)] = payload
-    state["shm_busy"].append(segment)
-    return _ShmResult(segment.name, generation, len(payload), digest)
-
-
-def _shm_maybe_export(record: DocumentRecord):
-    """The record itself, or a :class:`_ShmResult` descriptor for it.
-
-    A cheap lower-bound size screen (macro sources + document variables)
-    skips the extra pickle pass for the typical small record; only
-    plausibly-large records pay ``pickle.dumps`` to learn their exact
-    size.
-    """
-    threshold = _WORKER_STATE["shm_threshold"]
-    if threshold is None:
-        return record
-    approx = sum(len(macro.source) for macro in record.macros) + sum(
-        len(key) + len(value)
-        for key, value in record.document_variables.items()
-    )
-    if approx < threshold // 4:
-        return record
-    payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) < threshold:
-        return record
-    descriptor = _shm_export(payload)
-    return descriptor if descriptor is not None else record
 
 
 def _stream_warm() -> int:
@@ -1059,7 +821,7 @@ def _stream_task(
     deadline_s: float | None = None,
 ):
     """One document through the warm engine; telemetry rides along
-    every ``telemetry_every`` tasks.
+    every ``_TELEMETRY_EVERY`` tasks.
 
     ``deadline_s`` is the request deadline remaining at dispatch: the
     document analyzes under the engine budget clipped to it (which also
@@ -1067,7 +829,6 @@ def _stream_task(
     a ``deadline`` diagnostic so the parent never caches it.
     """
     engine = _WORKER_STATE["engine"]
-    _shm_reclaim()
     record = engine._process(source_id, data, digest, deadline_s)
     telemetry = None
     every = _WORKER_STATE["telemetry_every"]
@@ -1076,7 +837,7 @@ def _stream_task(
         if _WORKER_STATE["since_flush"] >= every:
             _WORKER_STATE["since_flush"] = 0
             telemetry = _telemetry_snapshot(engine)
-    return _shm_maybe_export(record), os.getpid(), telemetry
+    return record, os.getpid(), telemetry
 
 
 def _stream_flush() -> dict:

@@ -9,18 +9,25 @@ Two kinds of check:
   it (``rewriter_oracle.py`` over ``unparser_oracle.py``): on the 0.03
   corpus, every encoder strategy and the front-end golden corpus, the
   normal form of the spliced output (``unparse_module`` of its parse) is
-  that engine's output, and every report field is equal.
+  that engine's output, and every report field is equal.  The pinned
+  exceptions are inputs where a const or decoder is read only by a
+  statement the parser kept verbatim: that engine dropped it, the splice
+  keeps it, and there the splice equals that engine with the words of
+  verbatim statements counted as references.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from unittest import mock
 
 import pytest
 
 from repro.corpus.builder import CorpusBuilder, paper_profile
 from repro.deobfuscation import deobfuscate, engine
 from repro.pipeline.dataset import DatasetBuilder
+from repro.vba import ast_nodes as ast
 from repro.vba.interpreter import run_function
 from repro.vba.lexer import lex
 from repro.vba.parser import parse_module, parse_tolerant
@@ -91,6 +98,23 @@ class TestBytePreservation:
             "\n"
             "' trailer\n"
         )
+
+    def test_a_name_read_only_by_a_verbatim_statement_is_kept(self):
+        source = (
+            'Const K = "abc"\n'
+            "Function Dec(s)\n"
+            "    Dec = StrReverse(s)\n"
+            "End Function\n"
+            "Sub Main()\n"
+            "    MsgBox K\n"
+            '    Debug.Print Dec("cba")\n'
+            '    y = Dec("fed")\n'
+            "End Sub\n"
+        )
+        result = deobfuscate(source)
+        assert result.report.consts_inlined == 0
+        assert result.report.procedures_removed == ()
+        assert result.source == source.replace('y = Dec("fed")', 'y = "def"')
 
     @pytest.mark.parametrize(
         "kept, declaration",
@@ -193,10 +217,39 @@ def _assert_changed_only_inside_edits(source: str, output: str) -> None:
     assert output[at:] == source[cursor:]
 
 
-def assert_splice_is_the_rewrite(sources) -> None:
+def _rewrite_reading_verbatim_words(source: str):
+    """The old rewrite, with the words of statements the parser kept
+    verbatim counted as references, as the splice counts them."""
+    scan = rewriter_oracle._scan
+
+    def scan_verbatim_too(root):
+        names, nodes = scan(root)
+        for node in rewriter_oracle._walk(root):
+            if type(node) is ast.NoOpStmt:
+                names.extend(filter(None, lex(node.text).words))
+        return names, nodes
+
+    with mock.patch.object(rewriter_oracle, "_scan", scan_verbatim_too):
+        return rewriter_oracle.deobfuscate(source)
+
+
+def assert_splice_is_the_rewrite(sources, verbatim_reads=None) -> None:
+    """``verbatim_reads`` maps the index of each input that holds a name
+    read only by a verbatim statement to the first 12 hex digits of the
+    input's SHA-256."""
+    verbatim_reads = verbatim_reads or {}
     for index, source in enumerate(sources):
         reference = rewriter_oracle.deobfuscate(source)
         result = deobfuscate(source)
+        if index in verbatim_reads:
+            digest = hashlib.sha256(source.encode()).hexdigest()[:12]
+            assert digest == verbatim_reads[index], index
+            # The old rewrite drops what the splice keeps ...
+            assert reference.report.consts_inlined + len(
+                reference.report.procedures_removed
+            ) > result.report.consts_inlined + len(result.report.procedures_removed), index
+            # ... and nothing else differs.
+            reference = _rewrite_reading_verbatim_words(source)
         assert dataclasses.asdict(result.report) == dataclasses.asdict(reference.report), index
         if reference.report.error:  # a failed parse, or a pass cut short
             assert result.source == reference.source == source, index
@@ -238,10 +291,34 @@ def test_a_dropped_duplicate_procedure_diverges():
     assert result.source == first + reference.source
 
 
+#: Inputs of the 0.03 corpus and the golden corpus where a const or
+#: decoder is read only by a verbatim statement (``MsgBox K``,
+#: ``Debug.Print Dec("cba")``): index -> SHA-256 prefix.
+CORPUS_VERBATIM_READS = {
+    14: "cb066fdc2a21",
+    38: "a2f668036721",
+    49: "193cb9eb29b7",
+    64: "40c7c21d189f",
+}
+GOLDEN_VERBATIM_READS = {
+    15: "820f1a35375f",
+    17: "d411e5b069d7",
+    18: "2e9457ad47af",
+    19: "b85faa8cb85f",
+    20: "8f610178fdb1",
+    21: "808430419162",
+    42: "1e6ca3659b8d",
+    43: "e549d4059235",
+    46: "3463cffb8a88",
+}
+
+
 def test_corpus_splice_is_the_rewrite():
     corpus = CorpusBuilder(paper_profile().scaled(0.03), seed=2016).build()
     dataset = DatasetBuilder().build(corpus.documents, corpus.truth)
-    assert_splice_is_the_rewrite([sample.source for sample in dataset.samples])
+    assert_splice_is_the_rewrite(
+        [sample.source for sample in dataset.samples], CORPUS_VERBATIM_READS
+    )
 
 
 def test_encoder_strategies_splice_is_the_rewrite():
@@ -249,4 +326,6 @@ def test_encoder_strategies_splice_is_the_rewrite():
 
 
 def test_golden_corpus_splice_is_the_rewrite():
-    assert_splice_is_the_rewrite(test_frontend_golden.corpus_sources())
+    assert_splice_is_the_rewrite(
+        test_frontend_golden.corpus_sources(), GOLDEN_VERBATIM_READS
+    )

@@ -128,7 +128,7 @@ class TestAsyncChaosUnderBackpressure:
                 Fault("exit", poison_id),
             ),
             hang_s=0.2,
-            oversize_bytes=256 * 1024,  # also exercises the shm transport
+            oversize_bytes=256 * 1024,  # a 256 KB record over the result pipe
         )
         engine = AnalysisEngine.for_extraction(chaos=plan)
         engine.retry = RetryPolicy(max_attempts=1)  # one kill, one restart

@@ -16,10 +16,17 @@ What must hold (and is exercised here against real worker processes):
 
 import asyncio
 import itertools
+import json
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.corpus.documents import build_document_bytes
 from repro.engine import AnalysisEngine
 from repro.engine.records import DocumentRecord
@@ -249,7 +256,7 @@ class TestSerialParity:
 
 
 def big_docs(count, chars=200_000):
-    """Documents whose records pickle far beyond the shm threshold."""
+    """Documents whose records pickle to far more than 64 KiB."""
     pairs = []
     for index in range(count):
         lines = [f"Sub Big{index}()"]
@@ -263,60 +270,54 @@ def big_docs(count, chars=200_000):
     return pairs
 
 
-class TestSharedMemoryTransport:
-    def test_large_records_ride_shared_memory_with_exact_parity(self):
+class TestLargeRecords:
+    """Records that pickle to hundreds of KB come back over the same
+    result pipe as small ones."""
+
+    def test_large_records_match_serial_through_batch_and_stream(self):
         pairs = big_docs(4)
-        serial = AnalysisEngine.for_extraction(
-            metrics=MetricsRegistry(), budget=None
-        ).run_batch(pairs)
-        registry = MetricsRegistry()
-        engine = AnalysisEngine.for_extraction(metrics=registry, budget=None)
-        streamed = engine.run_batch(pairs, jobs=2)
+        serial = AnalysisEngine.for_extraction(budget=None).run_batch(pairs)
+        engine = AnalysisEngine.for_extraction(budget=None)
+        batched = engine.run_batch(pairs, jobs=2)
+        engine.close()
+        engine = AnalysisEngine.for_extraction(budget=None)
+        streamed = list(engine.stream(pairs, jobs=2, ordered=True))
+        engine.close()
 
         def shape(record):
             payload = record.to_dict()
             payload.pop("timings")
             return payload
 
-        assert [shape(r) for r in serial] == [shape(r) for r in streamed]
-        # The extracted module sources survive the segment round-trip.
-        for record, reference in zip(streamed, serial):
-            assert record.ok
-            assert [m.source for m in record.macros] == [
-                m.source for m in reference.macros
-            ]
-        counters = registry.to_dict()["counters"]
-        assert counters["stream.shm_results"] == len(pairs)
-        assert counters["stream.shm_bytes"] > len(pairs) * 64 * 1024
-        assert counters.get("stream.shm_fallback", 0) == 0
-        engine.close()
+        assert all(record.ok for record in serial)
+        assert all(len(pickle.dumps(record)) > 64 * 1024 for record in serial)
+        reference = [shape(r) for r in serial]
+        sources = [[m.source for m in r.macros] for r in serial]
+        for records in (batched, streamed):
+            assert [shape(r) for r in records] == reference
+            # ``to_dict`` gives a macro's length, not its text.
+            assert [[m.source for m in r.macros] for r in records] == sources
 
-    def test_shm_threshold_zero_disables_transport(self):
-        pairs = big_docs(2)
-        registry = MetricsRegistry()
-        engine = AnalysisEngine.for_extraction(metrics=registry, budget=None)
-        engine.shm_threshold = 0
-        records = engine.run_batch(pairs, jobs=2)
-        assert all(record.ok for record in records)
-        counters = registry.to_dict()["counters"]
-        assert counters.get("stream.shm_results", 0) == 0
-        engine.close()
-
-    def test_segments_are_reclaimed_not_leaked(self):
-        # Many large results through few workers: the per-worker segment
-        # pool must recycle instead of growing one segment per task.
-        pairs = big_docs(6, chars=120_000)
-        registry = MetricsRegistry()
-        engine = AnalysisEngine.for_extraction(metrics=registry, budget=None)
-        records = engine.run_batch(pairs, jobs=2)
-        assert all(record.ok for record in records)
-        counters = registry.to_dict()["counters"]
-        assert counters["stream.shm_results"] == len(pairs)
-        pool = engine._pool
-        names = set().union(*(slot.shm_names for slot in pool._slots))
-        # 2 workers x a pooled segment (or two) each, not 6 fresh segments.
-        assert len(names) <= 4
-        engine.close()
+    def test_extract_cli_over_large_documents_keeps_stderr_clean(self, tmp_path):
+        for source_id, data in big_docs(4):
+            (tmp_path / f"{source_id}.docm").write_bytes(data)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "extract", str(tmp_path),
+             "--jobs", "2", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        records = [json.loads(line) for line in completed.stdout.splitlines()]
+        assert len(records) == 4
+        assert "Traceback" not in completed.stderr, completed.stderr
 
 
 class TestChaosUnderBackpressure:
@@ -331,7 +332,7 @@ class TestChaosUnderBackpressure:
         plan = FaultPlan(
             faults=(Fault("hang", hang_id), Fault("oversize", oversize_id)),
             hang_s=0.2,
-            oversize_bytes=256 * 1024,  # also exercises the shm transport
+            oversize_bytes=256 * 1024,  # a 256 KB record over the result pipe
         )
         engine = AnalysisEngine.for_extraction(chaos=plan)
         records = list(engine.stream(pairs, jobs=2, window=4, ordered=True))
