@@ -23,8 +23,8 @@ privately.  The engine:
 :meth:`AnalysisEngine.stream` and :meth:`AnalysisEngine.astream` fan
 documents out over one persistent warm
 :class:`~repro.engine.stream.StreamingPool` (bounded-window
-backpressure, an ordering contract, results back over each worker's
-result pipe).  With one task in flight per worker, blame for a dead
+backpressure, an ordering contract, each worker fed over its own duplex
+pipe).  With one task in flight per worker, blame for a dead
 worker is per task: the document is retried with capped backoff and
 quarantined when retries run out, and only the dead worker is rebuilt.
 
@@ -45,7 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from repro.engine.records import DocumentRecord, MacroRecord, sha256_hex
+from repro.engine.records import Diagnostic, DocumentRecord, MacroRecord, sha256_hex
 from repro.engine.stream import deadline_limited
 from repro.engine.stages import (
     AnalyzeStage,
@@ -68,6 +68,9 @@ from repro.resilience.budgets import (
     call_with_timeout,
     clip_budget,
 )
+
+#: The diagnostic every cache-served copy carries (frozen, so shared).
+_CACHE_NOTE = Diagnostic("cache", "info", "served from content-hash cache")
 
 #: chunks per worker for :meth:`AnalysisEngine.feature_matrices` fan-out
 #: (documents go through the per-task streaming pool instead).
@@ -429,22 +432,22 @@ class AnalysisEngine:
 
     @staticmethod
     def _cached_copy(record: DocumentRecord, source_id: str) -> DocumentRecord:
-        copy = DocumentRecord(
+        # Copies share everything read-only with the original (records are
+        # read-only after a run), so a resubmission costs little memory.
+        return DocumentRecord(
             source_id=source_id,
             data=None,
             sha256=record.sha256,
             container=record.container,
             macros=record.macros,
             document_variables=record.document_variables,
-            diagnostics=list(record.diagnostics),
+            diagnostics=[*record.diagnostics, _CACHE_NOTE],
             degraded=record.degraded,
-            completed_stages=list(record.completed_stages),
+            completed_stages=record.completed_stages,
             quarantine=dict(record.quarantine)
             if record.quarantine is not None
             else None,
         )
-        copy.diag("cache", "info", "served from content-hash cache")
-        return copy
 
     # -- single inputs -------------------------------------------------
 
@@ -458,6 +461,8 @@ class AnalysisEngine:
         """The serial document path behind :meth:`run` and the ``jobs <= 1``
         faces of :meth:`stream` and :meth:`astream`: coerce, serve from
         the cache, else process and cache."""
+        if self.metrics.enabled:
+            self.metrics.counter("documents.returned").inc()
         sid, data, error = _coerce_input(item)
         if source_id is not None:
             sid = source_id
@@ -738,6 +743,8 @@ class AnalysisEngine:
                 for index in rest:
                     self.cache_hits += 1
                     records[index] = self._cached_copy(record, prepared[index][0])
+            if self.metrics.enabled:
+                self.metrics.counter("documents.returned").inc(len(records))
             return records  # type: ignore[return-value]
         finally:
             span.finish()
@@ -792,6 +799,8 @@ class AnalysisEngine:
 
     def _settle_stream_result(self, result) -> None:
         """Parent-side bookkeeping for one settled stream result."""
+        if self.metrics.enabled:
+            self.metrics.counter("documents.returned").inc()
         if result.computed:
             self._cache_put(result.record.sha256, result.record)
         elif result.coalesced:

@@ -46,6 +46,12 @@ class Diagnostic:
     def to_dict(self) -> dict[str, str]:
         return {"stage": self.stage, "level": self.level, "message": self.message}
 
+    def __reduce__(self):
+        # Every worker record carries diagnostics over the pool's pipe; the
+        # frozen-dataclass default pickles through a Python-level
+        # ``fields()`` walk per instance, several times slower.
+        return (Diagnostic, (self.stage, self.level, self.message))
+
 
 @dataclass(slots=True)
 class MacroRecord:

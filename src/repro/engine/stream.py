@@ -5,13 +5,13 @@ A :class:`StreamingPool` runs documents through ``engine._process`` in
 worker processes:
 
 * **persistent warm workers** — each worker is spawned once per pool
-  lifetime, unpickles the engine exactly once in its initializer (which
-  pre-imports numpy and the analysis stack and pre-builds the stage
-  list), and then serves tasks for as long as the pool lives.  Repeated
-  ``run_batch`` calls on the same engine reuse the same warm pool;
-* **per-task dispatch** — documents are submitted one at a time as
-  worker slots free up, and results are yielded as they complete, so a
-  pathological document delays only the worker holding it;
+  lifetime, unpickles the engine exactly once (which pre-imports numpy
+  and the analysis stack and pre-builds the stage list), and then serves
+  tasks for as long as the pool lives.  Repeated ``run_batch`` calls on
+  the same engine reuse the same warm pool;
+* **per-task dispatch** — documents are sent one at a time as workers
+  free up, and results are yielded as they complete, so a pathological
+  document delays only the worker holding it;
 * **backpressure** — the pool admits at most ``window`` documents beyond
   what the consumer has taken (in flight + awaiting dispatch + completed
   but unyielded), pulling from the input iterator lazily.  A 1M-document
@@ -20,12 +20,12 @@ worker processes:
   order through a reorder buffer that is *inside* the window accounting
   (so a slow head-of-line document cannot balloon memory either);
   ``ordered=False`` yields in completion order for maximum throughput;
-* **per-task blame** — every worker slot is its own single-process
-  executor with exactly one task in flight, so a dead worker indicts
-  exactly the task it was holding: the task is retried under the
-  engine's :class:`~repro.resilience.recovery.RetryPolicy` (capped
-  exponential backoff) and quarantined when retries are exhausted, while
-  only the dead slot is rebuilt — surviving workers stay warm.
+* **per-task blame** — every worker holds at most one task, so a dead
+  worker indicts exactly the task it was holding: the task is retried
+  under the engine's :class:`~repro.resilience.recovery.RetryPolicy`
+  (capped exponential backoff) and quarantined when retries are
+  exhausted, while only the dead slot is rebuilt — surviving workers
+  stay warm.
 
 There is **one dispatch loop**, :meth:`StreamingPool.astream`: admission,
 dispatch, settle, retry, quarantine and the reorder buffer live there
@@ -34,13 +34,17 @@ one result at a time on a private event loop — so ``run_batch``,
 ``AnalysisEngine.stream`` and the serving gateway share every deadline,
 blame and coalescing rule.
 
-There is one transport as well: a task returns ``(record, pid,
-telemetry)``, pickled through its executor's own result pipe, whatever
-the record's size.  Every ``_TELEMETRY_EVERY``-th task a worker attaches
-a registry snapshot as ``telemetry`` and resets, and a final flush at end
-of stream collects the remainder — so a long-lived stream's parent
-registry trails the workers by a bounded interval instead of an entire
-batch.
+There is one transport as well: each worker owns one duplex pipe.  The
+parent writes a pickled task to it and the worker writes back one
+pickled ``(kind, value, telemetry)`` reply — a record, an exception, or
+a telemetry flush — whatever the record's size.  The dispatch loop
+watches every pipe and every worker's process sentinel with
+``loop.add_reader``, so a result or a worker death wakes it directly: no
+executor, no manager or feeder thread.  Every ``_TELEMETRY_EVERY``-th
+task a worker attaches a registry snapshot as ``telemetry`` and resets,
+and a final flush at end of stream collects the remainder — so a
+long-lived stream's parent registry trails the workers by a bounded
+interval instead of an entire batch.
 
 Each task is one document, so the vectorized stages' micro-batch
 accumulators (featurize *and* classify) flush once per streamed
@@ -63,16 +67,15 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import os
 import pickle
 import threading
 import time
 import weakref
 from collections import deque
 from collections.abc import AsyncIterator, Iterable, Iterator
-from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.connection import wait as _wait_ready
 
 from repro.engine.records import DocumentRecord
 from repro.resilience import recovery as _recovery
@@ -82,11 +85,19 @@ from repro.resilience.recovery import DEFAULT_RETRY, RetryPolicy
 #: Tasks a worker completes between incremental telemetry flushes.
 _TELEMETRY_EVERY = 16
 
-#: Seconds :meth:`StreamingPool.close` waits for its executors to shut down.
+#: Seconds :meth:`StreamingPool.close` waits for its workers to exit.
 _CLOSE_JOIN_S = 2.0
+
+#: Seconds the end-of-stream telemetry flush waits for busy workers.
+_FLUSH_WAIT_S = 60.0
 
 #: Default backpressure window per worker when none is given.
 _WINDOW_PER_JOB = 4
+
+#: Requests other than a task, pickled once.
+_FLUSH = pickle.dumps("flush")
+_EXIT = pickle.dumps(None)
+
 
 @dataclass(slots=True)
 class StreamResult:
@@ -155,25 +166,39 @@ def deadline_limited(record: DocumentRecord) -> bool:
 
 
 class _Slot:
-    """One worker seat: a single-process executor we can rebuild alone."""
+    """One worker seat: a worker process and the duplex pipe that feeds
+    it, rebuilt alone when the worker dies.
 
-    __slots__ = ("index", "executor", "pid", "unflushed")
+    The worker answers every request with exactly one reply, in order,
+    so ``owed`` (requests sent minus replies read) says whether it is
+    idle.  A fresh worker owes one reply — the ``ready`` it sends once
+    its engine is loaded — so nothing is dispatched to it before then.
+    """
 
-    def __init__(self, index: int, executor: ProcessPoolExecutor) -> None:
+    __slots__ = ("index", "process", "pid", "conn", "task", "owed", "unflushed")
+
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.executor = executor
+        self.process = None
         self.pid: int | None = None
+        self.conn = None
+        #: the task the worker holds, or None (idle, or its stream ended)
+        self.task: _Task | None = None
+        self.owed = 0
         #: tasks completed since the worker last shipped telemetry
         self.unflushed = 0
 
 
 class StreamingPool:
-    """Warm workers that survive across calls, fed one task at a time.
+    """Warm workers that survive across calls, fed one task at a time
+    over one duplex pipe each.
 
     The pool holds only a *weak* reference to its engine (the engine owns
     the pool; a strong back-reference would keep both alive forever) plus
-    a pickled snapshot taken at construction for worker initializers —
-    stage configuration is therefore frozen at pool spawn.
+    a pickled snapshot taken at construction for the workers — stage
+    configuration is therefore frozen at pool spawn.  Workers start with
+    the pool, under ``mp_context`` (the platform default when None), and
+    are daemonic, so none outlives the interpreter.
     """
 
     def __init__(
@@ -198,9 +223,7 @@ class StreamingPool:
         self._engine_ref = weakref.ref(engine)
         self._metrics = engine.metrics
         self._engine_pickle = pickle.dumps(engine)
-        self._context = (
-            multiprocessing.get_context(mp_context) if mp_context else None
-        )
+        self._context = multiprocessing.get_context(mp_context)
         self._closed = False
         self._close_lock = threading.Lock()
         self._streaming = False
@@ -208,44 +231,52 @@ class StreamingPool:
         self.peak_in_flight = 0  # peak window occupancy (admitted - yielded)
         self.peak_dispatched = 0  # peak tasks simultaneously on workers
         self.tasks_completed = 0
-        self._slots = [self._new_slot(index) for index in range(self.jobs)]
-        self.warm_up(wait_ready=False)
+        self._slots = [_Slot(index) for index in range(self.jobs)]
+        for slot in self._slots:
+            self._spawn(slot)
 
     # -- worker lifecycle ----------------------------------------------
 
-    def _new_slot(self, index: int) -> _Slot:
-        executor = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=self._context,
-            initializer=_stream_worker_init,
-            initargs=(
+    def _spawn(self, slot: _Slot) -> None:
+        """Start a fresh worker in ``slot``; it owes its ``ready`` reply."""
+        conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_stream_worker,
+            args=(
+                child_conn,
                 self._engine_pickle,
                 _TELEMETRY_EVERY if self._metrics.enabled else 0,
             ),
+            name=f"repro-stream-{slot.index}",
+            daemon=True,
         )
-        return _Slot(index, executor)
+        process.start()
+        child_conn.close()
+        slot.process, slot.pid, slot.conn = process, process.pid, conn
+        slot.task = None
+        slot.owed = 1
+        slot.unflushed = 0
 
-    def warm_up(self, *, wait_ready: bool = True) -> list[int | None]:
-        """Force worker processes up (and their imports paid) *now*.
+    def warm_up(self, *, wait_ready: bool = True) -> list[int]:
+        """Make sure every worker is up (and its imports paid) *now*.
 
-        With ``wait_ready`` the call blocks until every worker has run its
-        initializer and returns their pids; without it the spawns proceed
-        in the background while the caller does other work.
+        Workers spawn with the pool, so without ``wait_ready`` this only
+        reports their pids.  With it the call blocks until every worker
+        has loaded its engine; a worker that dies on the way is replaced
+        and not waited for.  Not for use while a stream runs.
         """
-        futures = []
-        for slot in self._slots:
-            try:
-                futures.append((slot, slot.executor.submit(_stream_warm)))
-            except BrokenProcessPool:
-                self._restart_slot(slot)
-        if not wait_ready:
-            return [slot.pid for slot in self._slots]
-        for slot, future in futures:
-            try:
-                slot.pid = future.result()
-            except BrokenProcessPool:
-                self._restart_slot(slot)
-        return [slot.pid for slot in self._slots]
+        if wait_ready:
+            engine = self._engine_ref()
+            for slot in self._slots:
+                while slot.owed:
+                    _wait_ready([slot.conn, slot.process.sentinel])
+                    message = _receive(slot, False)
+                    if message is None:
+                        self._restart_slot(slot)
+                        break
+                    slot.owed -= 1
+                    self._take_reply(engine, slot, message)
+        return self.worker_pids()
 
     def _restart_slot(self, slot: _Slot) -> None:
         """Replace one dead worker; every other slot stays warm."""
@@ -255,41 +286,38 @@ class StreamingPool:
             metrics.counter("resilience.pool_failures").inc()
             metrics.counter("stream.worker_restarts").inc()
             span = metrics.span("pool.recover").start()
-        slot.executor.shutdown(wait=False, cancel_futures=True)
-        slot.executor = self._new_slot(slot.index).executor
-        slot.pid = None
-        slot.unflushed = 0  # whatever the dead worker held is gone
+        _stop_worker(slot, 0.0)
+        self._spawn(slot)  # whatever the dead worker held is gone
         self.worker_restarts += 1
         if span is not None:
             span.finish(outcome="error")
 
-    def worker_pids(self) -> list[int | None]:
-        """Last-known worker pid per slot (None before a slot's first task)."""
+    def worker_pids(self) -> list[int]:
+        """The current (after close, the last) worker pid per slot."""
         return [slot.pid for slot in self._slots]
 
     def close(self) -> None:
         """Shut every worker down.  Idempotent; the pool is unusable after.
 
-        Safe under concurrent callers: async shutdown closes from signal
-        handlers and context managers simultaneously, so exactly one caller
-        wins the flag under a lock and performs the teardown.
+        Each worker is asked to exit and joined within ``_CLOSE_JOIN_S``
+        in all; one still alive then (stuck in a task) is terminated, and
+        killed if it ignores that, so no worker outlives its pool.  Safe
+        under concurrent callers: async shutdown closes from signal
+        handlers and context managers simultaneously, so exactly one
+        caller wins the flag under a lock and performs the teardown.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
-        managers = []
         for slot in self._slots:
-            managers.append(getattr(slot.executor, "_executor_manager_thread", None))
-            slot.executor.shutdown(wait=False, cancel_futures=True)
-        # Let each executor finish shutting down, so an interpreter exit
-        # right after close() does not race a half-closed executor (the
-        # stdlib exit hook writes to its wakeup pipe unlocked).  Bounded: a
-        # worker stuck in a task must not hold close() hostage.
+            try:
+                slot.conn.send_bytes(_EXIT)
+            except OSError:
+                pass  # already gone
         deadline = time.monotonic() + _CLOSE_JOIN_S
-        for manager in managers:
-            if manager is not None:
-                manager.join(max(0.0, deadline - time.monotonic()))
+        for slot in self._slots:
+            _stop_worker(slot, max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "StreamingPool":
         return self
@@ -368,12 +396,17 @@ class StreamingPool:
         yielded, which bounds the reorder buffer and the in-flight set
         alike.
 
-        The loop never blocks on a worker: a finished worker future wakes
-        it through ``call_soon_threadsafe``, and retry backoff runs in the
-        default executor.  An async feed is pulled *concurrently* with
-        settling (a live server feed may be idle while tasks are in
-        flight, so blocking on the next entry would deadlock a request
-        multiplexer); a sync feed is pulled in place.
+        The loop never blocks on a worker: each worker's pipe and process
+        sentinel are registered with ``loop.add_reader``, so a reply or a
+        death wakes it, and retry backoff runs in the default executor
+        (the blamed task is requeued once it has elapsed).  A worker found
+        dead while idle is replaced without blaming any document.  The
+        pipe reads and writes themselves do block the loop, for as long
+        as a message takes to cross (see :meth:`_send_task`).  An async
+        feed is pulled *concurrently* with settling (a live server feed
+        may be idle while tasks are in flight, so blocking on the next
+        entry would deadlock a request multiplexer); a sync feed is
+        pulled in place.
         """
         self._begin_stream()
         engine = self._engine_ref()
@@ -386,25 +419,113 @@ class StreamingPool:
         exhausted = False
         fetch: asyncio.Task | None = None  # the one outstanding feed pull
         waiting: deque[_Task] = deque()
-        inflight: dict[Future, tuple[_Slot, _Task]] = {}
-        landed: deque[Future] = deque()  # finished worker futures, unsettled
-        wake: asyncio.Future | None = None  # what step 5 parks on
+        #: (slot, the worker it had, its reply or None for a death, the
+        #: task that reply settles), unsettled
+        landed: deque[tuple[_Slot, object, bytes | None, _Task | None]] = deque()
+        watched: dict[_Slot, tuple[int, int]] = {}  # slot -> registered fds
+        flushing: set[_Slot] = set()  # slots owing an end-of-stream flush
+        wake: asyncio.Future | None = None  # what park() waits on
 
         def rouse(_=None) -> None:
             if wake is not None and not wake.done():
                 wake.set_result(None)
 
-        def land(future: Future) -> None:
-            landed.append(future)
+        def on_ready(slot: _Slot, process, from_pipe: bool) -> None:
+            nonlocal dispatched
+            if slot.process is not process:
+                return  # a replaced worker's late wake-up
+            message = _receive(slot, from_pipe)
+            if message is None:
+                unwatch(slot)  # a dead worker's fds stay readable
+                landed.append((slot, process, None, None))
+                rouse()
+                return
+            # Replies come one per request, in order, and a slot holding a
+            # task owes nothing else: this reply is that task's.
+            task, slot.task = slot.task, None
+            slot.owed -= 1
+            if task is not None:
+                dispatched -= 1
+            landed.append((slot, process, message, task))
+            if not slot.owed:
+                idle.append(slot)
             rouse()
 
-        def on_done(future: Future) -> None:  # runs on the executor's thread
-            try:
-                loop.call_soon_threadsafe(land, future)
-            except RuntimeError:  # this stream is over and its loop closed
-                pass
+        def watch(slot: _Slot) -> None:
+            fds = (slot.conn.fileno(), slot.process.sentinel)
+            loop.add_reader(fds[0], on_ready, slot, slot.process, True)
+            loop.add_reader(fds[1], on_ready, slot, slot.process, False)
+            watched[slot] = fds
 
-        idle: list[_Slot] = list(self._slots)
+        def unwatch(slot: _Slot) -> None:
+            for fd in watched.pop(slot, ()):
+                loop.remove_reader(fd)
+
+        def replace(slot: _Slot) -> None:
+            unwatch(slot)
+            if self._closed:  # closed under a running stream
+                raise RuntimeError("StreamingPool was closed mid-stream")
+            self._restart_slot(slot)
+            watch(slot)
+
+        async def park(timeout: float | None) -> None:
+            nonlocal wake
+            wake = loop.create_future()
+            timer = None if timeout is None else loop.call_later(timeout, rouse)
+            try:
+                await wake
+            finally:
+                wake = None
+                if timer is not None:
+                    timer.cancel()
+
+        async def settle() -> None:
+            """Book every landed reply and death."""
+            nonlocal completed, dispatched
+            while landed:
+                slot, process, message, task = landed.popleft()
+                if slot.process is not process:
+                    continue  # its worker was replaced meanwhile
+                delay = None
+                if message is None:
+                    task = slot.task
+                    if slot in idle:
+                        idle.remove(slot)
+                    flushing.discard(slot)
+                    replace(slot)  # the fresh worker joins ``idle`` when ready
+                    if task is not None:
+                        dispatched -= 1
+                        # One task per worker: the death indicts exactly
+                        # this task.
+                        error = BrokenProcessPool(
+                            "worker died mid-task; per-task dispatch "
+                            "attributes the failure to this document"
+                        )
+                        delay = self._settle_failure(task, error, buffer, primaries)
+                else:
+                    kind, value = self._take_reply(engine, slot, message)
+                    if kind == "flush":
+                        flushing.discard(slot)
+                    if task is not None:
+                        if kind == "done":
+                            completed += 1
+                            self.tasks_completed += 1
+                            if metrics.enabled:
+                                metrics.counter("stream.tasks").inc()
+                            self._settle_success(task, value, buffer, primaries)
+                        else:
+                            # Attributable failure (e.g. an unpicklable
+                            # record): the worker survived, only the task
+                            # pays.
+                            delay = self._settle_failure(task, value, buffer, primaries)
+                if delay is not None:
+                    # Backoff before the retry is queued, parked on a thread
+                    # so the loop stays responsive; tests monkeypatch
+                    # recovery._sleep.
+                    await loop.run_in_executor(None, _recovery._sleep, delay)
+                    waiting.appendleft(task)  # retries outrank fresh admissions
+
+        idle: list[_Slot] = [slot for slot in self._slots if not slot.owed]
         #: digest -> the task analyzing it, until its result is yielded
         primaries: dict[str, _Task] = {}
         buffer: dict[object, StreamResult] = {}
@@ -412,12 +533,15 @@ class StreamingPool:
         admitted = 0
         yielded = 0
         completed = 0
+        dispatched = 0  # tasks on workers now
         started_at = time.perf_counter()
 
         in_flight_gauge = metrics.gauge("stream.in_flight")
         depth_gauge = metrics.gauge("stream.queue_depth")
 
         try:
+            for slot in self._slots:
+                watch(slot)
             while True:
                 # 1. Admit while the window has room (at most one async
                 #    feed pull outstanding).
@@ -442,16 +566,19 @@ class StreamingPool:
                         self._expire_task(task, buffer, primaries)
                         continue
                     slot = idle.pop()
-                    future = self._submit(slot, task)
-                    inflight[future] = (slot, task)
-                    future.add_done_callback(on_done)
+                    if self._send_task(slot, task):
+                        dispatched += 1
+                    else:
+                        # It died while idle: no document to blame.
+                        waiting.appendleft(task)
+                        replace(slot)
 
                 occupancy = admitted - yielded
                 if occupancy > self.peak_in_flight:
                     self.peak_in_flight = occupancy
                     in_flight_gauge.set(occupancy)
-                if len(inflight) > self.peak_dispatched:
-                    self.peak_dispatched = len(inflight)
+                if dispatched > self.peak_dispatched:
+                    self.peak_dispatched = dispatched
                 if len(buffer) > depth_gauge.value:
                     depth_gauge.set(len(buffer))
 
@@ -479,23 +606,19 @@ class StreamingPool:
                     continue  # freed window slots: admit before parking
 
                 # 4. Done?
-                if exhausted and fetch is None and not inflight and not waiting:
+                if (
+                    exhausted
+                    and fetch is None
+                    and not dispatched
+                    and not waiting
+                    and not landed
+                ):
                     break
 
-                # 5. Park until the feed produces, any worker finishes, or
-                #    the nearest queued deadline expires.
+                # 5. Park until the feed produces, any worker replies or
+                #    dies, or the nearest queued deadline expires.
                 if not landed and not (fetch is not None and fetch.done()):
-                    timeout = self._nearest_deadline(waiting)
-                    if timeout is None and not inflight and fetch is None:
-                        timeout = 0.01  # nothing else could wake the loop
-                    wake = loop.create_future()
-                    timer = None if timeout is None else loop.call_later(timeout, rouse)
-                    try:
-                        await wake
-                    finally:
-                        wake = None
-                        if timer is not None:
-                            timer.cancel()
+                    await park(self._nearest_deadline(waiting))
                 if fetch is not None and fetch.done():
                     try:
                         entry = fetch.result()
@@ -507,36 +630,40 @@ class StreamingPool:
                             entry, ordered, expected, buffer, primaries, waiting
                         )
                     fetch = None
-                while landed:
-                    future = landed.popleft()
-                    slot, task = inflight.pop(future)
-                    step, delay = self._settle_future(
-                        engine, slot, task, future, idle, waiting, buffer, primaries
-                    )
-                    completed += step
-                    if delay is not None:
-                        # Backoff before the retry runs, parked on a thread
-                        # so the loop stays responsive; tests monkeypatch
-                        # recovery._sleep.
-                        await loop.run_in_executor(None, _recovery._sleep, delay)
+                await settle()
                 # Sliding windows / drift monitors advance from the settle
                 # loop too, not only on telemetry flushes — both time-gate
                 # internally, so this is a few attribute checks per wake-up.
                 if engine is not None:
                     engine._observability_tick()
         finally:
-            self._streaming = False
-            if fetch is not None:
-                fetch.cancel()
-            for future in inflight:
-                future.cancel()  # tasks not yet on a worker; running ones finish
-            if engine is not None and metrics.enabled:
-                await self._flush_telemetry(engine)
-                elapsed = time.perf_counter() - started_at
-                if completed and elapsed > 0.0:
-                    metrics.gauge("stream.tasks_per_sec").set(
-                        round(completed / elapsed, 3)
-                    )
+            try:
+                if fetch is not None:
+                    fetch.cancel()
+                waiting.clear()  # nothing more is dispatched
+                for slot in self._slots:
+                    slot.task = None  # abandoned: its late reply is dropped
+                if engine is not None and metrics.enabled and not self._closed:
+                    # Collect what the workers recorded since their last
+                    # flush.  A busy worker answers after its task.
+                    for slot in self._slots:
+                        if slot.unflushed > 0 and slot in watched:
+                            if self._send(slot, _FLUSH):
+                                flushing.add(slot)
+                    until = loop.time() + _FLUSH_WAIT_S
+                    while flushing and loop.time() < until:
+                        if not landed:
+                            await park(until - loop.time())
+                        await settle()
+                    elapsed = time.perf_counter() - started_at
+                    if completed and elapsed > 0.0:
+                        metrics.gauge("stream.tasks_per_sec").set(
+                            round(completed / elapsed, 3)
+                        )
+            finally:
+                for slot in list(watched):
+                    unwatch(slot)
+                self._streaming = False
 
     # -- dispatch-loop pieces ------------------------------------------
 
@@ -612,75 +739,50 @@ class StreamingPool:
             return None
         return max(0.0, nearest - time.monotonic())
 
-    def _settle_future(
-        self,
-        engine,
-        slot: _Slot,
-        task: _Task,
-        future: Future,
-        idle: list,
-        waiting: deque,
-        buffer: dict,
-        primaries: dict,
-    ) -> tuple[int, float | None]:
-        """Settle one completed worker future.
-
-        Returns ``(completed_delta, retry_delay)``.  A non-None delay
-        means the task was requeued for retry and the caller owes it a
-        backoff sleep.
-        """
-        metrics = self._metrics
+    @staticmethod
+    def _send(slot: _Slot, request: bytes) -> bool:
+        """Write one request to a live worker; False when it is gone."""
+        if not slot.process.is_alive():
+            return False
         try:
-            payload = future.result()
-        except BrokenProcessPool:
-            # One task per worker: the dead pool indicts exactly this
-            # task.  Rebuild only this slot.
-            self._restart_slot(slot)
-            idle.append(slot)
-            error = BrokenProcessPool(
-                "worker died mid-task; per-task dispatch "
-                "attributes the failure to this document"
-            )
-            return 0, self._settle_failure(task, error, waiting, buffer, primaries)
-        except Exception as error:
-            # Attributable failure (e.g. an unpicklable result): the
-            # worker survived, only the task pays.
-            idle.append(slot)
-            return 0, self._settle_failure(task, error, waiting, buffer, primaries)
-        idle.append(slot)
-        record, pid, telemetry = payload
-        slot.pid = pid
-        slot.unflushed += 1
+            slot.conn.send_bytes(request)
+        except OSError:
+            return False
+        slot.owed += 1
+        return True
+
+    def _send_task(self, slot: _Slot, task: _Task) -> bool:
+        """Hand one task to an idle worker; False when it died idle.
+
+        The write blocks the calling thread (the event loop, under
+        :meth:`astream`) until the whole document is in the pipe, which
+        takes as long as the worker needs to drain it: an 8 MB upload
+        holds the loop for some 20–50 ms on a 2-CPU VM.
+        """
+        remaining = None
+        if task.deadline is not None:
+            remaining = max(0.001, task.deadline - time.monotonic())
+        request = pickle.dumps(
+            (task.source_id, task.data, task.digest, remaining),
+            pickle.HIGHEST_PROTOCOL,
+        )
+        if not self._send(slot, request):
+            return False
+        slot.task = task
+        return True
+
+    @staticmethod
+    def _take_reply(engine, slot: _Slot, message: bytes) -> tuple:
+        """Unpack one worker reply into ``(kind, value)``, merging any
+        telemetry riding along into ``engine``."""
+        kind, value, telemetry = pickle.loads(message)
+        if kind == "done" or kind == "error":
+            slot.unflushed += 1
         if telemetry is not None:
             slot.unflushed = 0
             if engine is not None:
                 engine._merge_worker_telemetry(telemetry)
-        self.tasks_completed += 1
-        if metrics.enabled:
-            metrics.counter("stream.tasks").inc()
-        self._settle_success(task, record, buffer, primaries)
-        return 1, None
-
-    def _submit(self, slot: _Slot, task: _Task) -> Future:
-        """Submit one task to one slot, reviving the slot if it died idle."""
-        remaining = None
-        if task.deadline is not None:
-            remaining = max(0.001, task.deadline - time.monotonic())
-        for attempt in (0, 1):
-            try:
-                return slot.executor.submit(
-                    _stream_task,
-                    task.key,
-                    task.source_id,
-                    task.data,
-                    task.digest,
-                    remaining,
-                )
-            except (BrokenProcessPool, RuntimeError):
-                if attempt:
-                    raise
-                self._restart_slot(slot)
-        raise AssertionError("unreachable")
+        return kind, value
 
     def _settle_success(
         self,
@@ -709,15 +811,13 @@ class StreamingPool:
         self,
         task: _Task,
         error: BaseException,
-        waiting: deque,
         buffer: dict,
         primaries: dict,
     ) -> float | None:
         """Per-task blame: retry with capped backoff, then quarantine.
 
-        Returns the backoff delay the caller owes before the retry runs
-        (the task is already requeued), or None when the task was
-        quarantined instead.
+        Returns the backoff delay after which the caller requeues the
+        task for its retry, or None when the task was quarantined instead.
         """
         metrics = self._metrics
         attempts = task.attempt + 1
@@ -726,7 +826,6 @@ class StreamingPool:
                 metrics.counter("resilience.retries").inc()
             delay = self.retry.backoff(task.attempt)
             task.attempt = attempts
-            waiting.appendleft(task)  # retries outrank fresh admissions
             return delay
         reason = (
             f"{type(error).__name__}: {error}"
@@ -744,29 +843,6 @@ class StreamingPool:
         self._settle_success(task, record, buffer, primaries)
         return None
 
-    async def _flush_telemetry(self, engine) -> None:
-        """Collect what the workers recorded since their last flush."""
-        pending: dict[asyncio.Future, _Slot] = {}
-        for slot in self._slots:
-            if slot.unflushed <= 0:
-                continue
-            try:
-                future = slot.executor.submit(_stream_flush)
-            except (BrokenProcessPool, RuntimeError):
-                continue  # the worker (and its unsent telemetry) is gone
-            pending[asyncio.wrap_future(future)] = slot
-        if not pending:
-            return
-        done, _ = await asyncio.wait(pending, timeout=60)
-        for future, slot in pending.items():
-            if future not in done or future.cancelled():
-                future.cancel()
-                continue
-            if future.exception() is not None:
-                continue
-            slot.unflushed = 0
-            engine._merge_worker_telemetry(future.result())
-
 
 def _twin(record: DocumentRecord, source_id: str) -> DocumentRecord:
     """A coalesced duplicate's copy of ``record``, as the cache serves it."""
@@ -775,24 +851,94 @@ def _twin(record: DocumentRecord, source_id: str) -> DocumentRecord:
     return AnalysisEngine._cached_copy(record, source_id)
 
 
+def _receive(slot: _Slot, from_pipe: bool) -> bytes | None:
+    """The reply waiting on ``slot``'s pipe, or None when its worker is gone.
+
+    Call only once the pipe (``from_pipe``) or the process sentinel is
+    ready: a ready sentinel with nothing on the pipe means the worker
+    exited.  A reply is read whole, so a large record blocks the calling
+    thread — the event loop, under :meth:`StreamingPool.astream` — until
+    its last byte arrives: about 4 ms for a record of 2 MB of macro
+    source on a 2-CPU VM.
+    """
+    try:
+        if from_pipe or slot.conn.poll():
+            return slot.conn.recv_bytes()
+    except (EOFError, OSError):
+        pass
+    return None
+
+
+def _stop_worker(slot: _Slot, grace: float) -> None:
+    """Reap ``slot``'s worker: wait ``grace`` seconds for it to exit, then
+    terminate it, then kill it; close its pipe either way."""
+    process = slot.process
+    process.join(grace)
+    if process.exitcode is None:
+        process.terminate()
+        process.join(1.0)
+    if process.exitcode is None:
+        process.kill()
+        process.join()
+    slot.conn.close()
+    process.close()
+
+
 # ----------------------------------------------------------------------
-# Worker-side entry points.  The engine is unpickled exactly once per
-# worker process (pre-importing numpy and the analysis stack, pre-building
-# the stage list); tasks then carry only (key, source_id, data, digest).
-
-_WORKER_STATE: dict = {}
+# The worker side.  The engine is unpickled exactly once per worker
+# process (pre-importing numpy and the analysis stack, pre-building the
+# stage list); tasks then carry only (source_id, data, digest, deadline).
 
 
-def _stream_worker_init(engine_pickle: bytes, telemetry_every: int) -> None:
+def _stream_worker(conn, engine_pickle: bytes, telemetry_every: int) -> None:
+    """A worker's whole life: load the engine, say ``ready``, then answer
+    each request with one ``(kind, value, telemetry)`` reply until told to
+    exit.
+
+    A task is ``(source_id, data, digest, deadline_s)``: one document
+    through the warm engine, its record sent back as ``done`` (or the
+    exception as ``error``), with telemetry riding along every
+    ``telemetry_every`` tasks.  ``deadline_s`` is the request deadline
+    remaining at dispatch: the document analyzes under the engine budget
+    clipped to it (which also arms the per-stage watchdog), and a record
+    it degrades is marked with a ``deadline`` diagnostic so the parent
+    never caches it.  ``"flush"`` asks for the telemetry now; ``None``
+    ends the loop.
+    """
     engine = pickle.loads(engine_pickle)
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["telemetry_every"] = telemetry_every
-    _WORKER_STATE["since_flush"] = 0
+    since_flush = 0
+    _reply(conn, "ready", None, None)
+    while True:
+        try:
+            request = pickle.loads(conn.recv_bytes())
+        except EOFError:
+            return
+        if request is None:
+            return
+        if request == "flush":
+            since_flush = 0
+            _reply(conn, "flush", None, _telemetry_snapshot(engine))
+            continue
+        try:
+            kind, value = "done", engine._process(*request)
+        except Exception as error:  # noqa: BLE001 - the task pays, not the worker
+            kind, value = "error", error
+        telemetry = None
+        if telemetry_every:
+            since_flush += 1
+            if since_flush >= telemetry_every:
+                since_flush = 0
+                telemetry = _telemetry_snapshot(engine)
+        _reply(conn, kind, value, telemetry)
 
 
-def _stream_warm() -> int:
-    """A no-op task that forces the worker (and its imports) up."""
-    return os.getpid()
+def _reply(conn, kind: str, value, telemetry) -> None:
+    """Send one reply; a value that will not pickle becomes an ``error``."""
+    try:
+        payload = pickle.dumps((kind, value, telemetry), pickle.HIGHEST_PROTOCOL)
+    except Exception as error:  # noqa: BLE001 - e.g. an unpicklable record
+        payload = pickle.dumps(("error", error, telemetry))
+    conn.send_bytes(payload)
 
 
 def _telemetry_snapshot(engine) -> dict:
@@ -811,36 +957,3 @@ def _telemetry_snapshot(engine) -> dict:
         feature_cache.misses = 0
         feature_cache.evictions = 0
     return snapshot
-
-
-def _stream_task(
-    key,
-    source_id: str,
-    data: bytes,
-    digest: str,
-    deadline_s: float | None = None,
-):
-    """One document through the warm engine; telemetry rides along
-    every ``_TELEMETRY_EVERY`` tasks.
-
-    ``deadline_s`` is the request deadline remaining at dispatch: the
-    document analyzes under the engine budget clipped to it (which also
-    arms the per-stage watchdog), and a record it degrades is marked with
-    a ``deadline`` diagnostic so the parent never caches it.
-    """
-    engine = _WORKER_STATE["engine"]
-    record = engine._process(source_id, data, digest, deadline_s)
-    telemetry = None
-    every = _WORKER_STATE["telemetry_every"]
-    if every:
-        _WORKER_STATE["since_flush"] += 1
-        if _WORKER_STATE["since_flush"] >= every:
-            _WORKER_STATE["since_flush"] = 0
-            telemetry = _telemetry_snapshot(engine)
-    return record, os.getpid(), telemetry
-
-
-def _stream_flush() -> dict:
-    """Explicit end-of-stream telemetry flush."""
-    _WORKER_STATE["since_flush"] = 0
-    return _telemetry_snapshot(_WORKER_STATE["engine"])

@@ -59,7 +59,18 @@ def _render_rows(
 
 
 def summarize(registry, cache_info: dict[str, int] | None = None) -> str:
-    """Render the post-run ``--stats`` summary from a live registry."""
+    """Render the post-run ``--stats`` summary from a live registry.
+
+    The headline counts *records returned*: one per input the engine
+    answered (cache hits, coalesced twins and quarantined documents
+    included), counted in the parent as each record is handed back
+    (``documents.returned``), so it equals the records a batch command
+    printed even after a worker was killed.  Registries without that
+    counter fall back to the ``document`` span's count.  The stage rows
+    are worker-recorded spans folded in by telemetry flushes: a worker
+    killed mid-stream takes the spans it had not yet flushed with it, so
+    after a kill the rows may count fewer documents than the headline.
+    """
     snapshot = registry.to_dict()
     histograms = snapshot["histograms"]
     counters = snapshot["counters"]
@@ -74,15 +85,18 @@ def summarize(registry, cache_info: dict[str, int] | None = None) -> str:
     lines = ["TELEMETRY"]
 
     documents = spans.get("document")
+    count = counters.get("documents.returned") or (
+        documents.count if documents is not None else 0
+    )
     wall = None
     if "batch" in spans:
         wall = spans["batch"].sum
     elif documents is not None:
         wall = documents.sum
-    if documents is not None and wall:
+    if count and wall:
         lines[0] = (
-            f"TELEMETRY — {documents.count} documents in "
-            f"{format_duration(wall)} ({documents.count / wall:.1f} docs/s)"
+            f"TELEMETRY — {count} documents in "
+            f"{format_duration(wall)} ({count / wall:.1f} docs/s)"
         )
 
     rows = [

@@ -12,8 +12,9 @@ kind      behavior when a document's ``source_id`` matches
 raise     raise :class:`ChaosError` (exercises graceful degradation)
 hang      sleep ``hang_s`` seconds (exercises the stage watchdog)
 oversize  emit a macro of ``oversize_bytes`` chars (exercises output caps)
-exit      ``os._exit(86)`` in a pool worker (exercises BrokenProcessPool
-          recovery); downgraded to ``raise`` in the parent process so an
+exit      ``os._exit(86)`` in a pool worker (exercises dead-worker
+          recovery: the task is blamed as ``BrokenProcessPool``);
+          downgraded to ``raise`` in the parent process so an
           in-process run degrades instead of killing the CLI
 ========  ==============================================================
 

@@ -1,14 +1,14 @@
 """Worker-failure policy: capped retries, then quarantine — per task.
 
-``ProcessPoolExecutor`` fails collectively: one worker dying mid-task (a
-segfaulting parser, an ``os._exit``, the OOM killer) breaks its whole pool
-and every in-flight future with it.  PR 4 recovered from that with
-round-based blame attribution and ``O(log n)`` bisection, because a
-multi-task pool could not say *which* task killed it.  The streaming
-engine (:mod:`repro.engine.stream`) removes the ambiguity structurally:
-each worker slot is a single-process executor with exactly one task in
-flight, so a broken slot indicts exactly the task it was holding —
-bisection disappears, and what remains of recovery is pure *policy*:
+A multi-task process pool fails collectively: one worker dying mid-task
+(a segfaulting parser, an ``os._exit``, the OOM killer) breaks the whole
+pool and every task in flight with it, and the pool cannot say *which*
+task killed it.  The streaming engine (:mod:`repro.engine.stream`)
+removes the ambiguity structurally: each worker slot is one process fed
+over its own pipe with at most one task in flight, so a dead worker
+indicts exactly the task it was holding (the quarantine reason still
+reads ``BrokenProcessPool: …``) — no bisection is needed, and what
+remains of recovery is pure *policy*:
 
 * a blamed task is retried up to :attr:`RetryPolicy.max_attempts` times
   with capped exponential backoff (transient failures — OOM pressure, a

@@ -20,8 +20,10 @@ import json
 import os
 import pathlib
 import pickle
+import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -41,6 +43,27 @@ def recorded_sleeps(monkeypatch):
     delays = []
     monkeypatch.setattr(recovery_module, "_sleep", delays.append)
     return delays
+
+
+def process_alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def repro_env():
+    """The environment for a child Python that imports this checkout."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def tiny_docs(count):
@@ -164,18 +187,74 @@ class TestWarmPool:
         engine.close()
         assert engine._pool is None
 
-    def test_close_waits_for_the_executors_to_shut_down(self, document_factory):
-        # An interpreter exit right after close() must not race executors
-        # still shutting down: the stdlib exit hook writes to their wakeup
-        # pipes unlocked (an intermittent EBADF traceback at exit).
+    def test_close_leaves_no_worker_alive(self, document_factory):
         engine = AnalysisEngine.for_extraction()
         engine.run_batch(document_factory(4), jobs=2)
-        managers = [
-            slot.executor._executor_manager_thread for slot in engine._pool._slots
-        ]
-        assert all(manager.is_alive() for manager in managers)
+        pids = engine._pool.worker_pids()
+        assert all(process_alive(pid) for pid in pids)
         engine.close()
-        assert not any(manager.is_alive() for manager in managers)
+        assert not any(process_alive(pid) for pid in pids)
+
+    def test_interpreter_exit_without_close_leaves_no_worker(self):
+        script = (
+            "import random\n"
+            "from repro.corpus.benign import generate_benign_module\n"
+            "from repro.corpus.documents import build_document_bytes\n"
+            "from repro.engine import AnalysisEngine\n"
+            "rng = random.Random(5)\n"
+            "pairs = [(f'doc_{i}', build_document_bytes(\n"
+            "    [generate_benign_module(rng, target_length=400)], 'docm'))\n"
+            "    for i in range(6)]\n"
+            "engine = AnalysisEngine.for_extraction()\n"
+            "records = engine.run_batch(pairs, jobs=2)\n"
+            "assert len(records) == 6 and all(r.ok for r in records)\n"
+            "print(' '.join(str(pid) for pid in engine._pool.worker_pids()))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=repro_env(),
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "Traceback" not in completed.stderr, completed.stderr
+        pids = [int(pid) for pid in completed.stdout.split()]
+        assert len(pids) == 2
+        assert not any(process_alive(pid) for pid in pids)
+
+    def test_worker_killed_while_idle_is_replaced_without_blame(
+        self, document_factory, recorded_sleeps
+    ):
+        pairs = document_factory(12)
+        registry = MetricsRegistry()
+        engine = AnalysisEngine.for_extraction(metrics=registry)
+        engine.run_batch(pairs[:6], jobs=2)
+        pool = engine._pool
+        # The transport is the pool's own pipes: no executor manager or
+        # queue-feeder thread runs in the parent.
+        names = {type(thread).__name__ for thread in threading.enumerate()}
+        names |= {thread.name for thread in threading.enumerate()}
+        assert "_ExecutorManagerThread" not in names
+        assert "QueueFeederThread" not in names
+        before = pool.worker_pids()
+        os.kill(before[0], signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while process_alive(before[0]) and time.monotonic() < deadline:
+            time.sleep(0.02)
+
+        records = engine.run_batch(pairs[6:], jobs=2)
+        assert [r.source_id for r in records] == [sid for sid, _ in pairs[6:]]
+        assert all(r.ok and r.quarantine is None for r in records)
+        counters = registry.to_dict()["counters"]
+        assert counters.get("resilience.retries", 0) == 0
+        assert counters.get("resilience.quarantined", 0) == 0
+        assert recorded_sleeps == []
+        assert pool.worker_restarts == 1
+        after = pool.worker_pids()
+        assert after[0] != before[0]
+        assert after[1:] == before[1:]
+        engine.close()
 
     def test_worker_kill_mid_stream_keeps_survivors_warm(
         self, document_factory, recorded_sleeps
@@ -301,17 +380,12 @@ class TestLargeRecords:
     def test_extract_cli_over_large_documents_keeps_stderr_clean(self, tmp_path):
         for source_id, data in big_docs(4):
             (tmp_path / f"{source_id}.docm").write_bytes(data)
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
-        )
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "extract", str(tmp_path),
              "--jobs", "2", "--format", "json"],
             capture_output=True,
             text=True,
-            env=env,
+            env=repro_env(),
             timeout=300,
         )
         assert completed.returncode == 0, completed.stderr
