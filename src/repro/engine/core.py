@@ -63,9 +63,9 @@ from repro.features.matrix import extract_matrices
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.resilience.budgets import (
     DEFAULT_BUDGET,
+    UNLIMITED_BUDGET,
     Budget,
     StageTimeout,
-    call_with_timeout,
     clip_budget,
 )
 
@@ -143,7 +143,8 @@ class AnalysisEngine:
                 sa_budget=sa_budget,
             )
         self.stages = list(stages)
-        self.budget = budget
+        # None means no limits: one stage loop serves every budget.
+        self.budget = budget if budget is not None else UNLIMITED_BUDGET
         self.retry = retry  # RetryPolicy | None (None = DEFAULT_RETRY)
         if chaos is not None:  # FaultPlan: splice the saboteur in
             from repro.resilience.chaos import ChaosStage
@@ -507,11 +508,7 @@ class AnalysisEngine:
         record = DocumentRecord(source_id=source_id, data=data, sha256=digest)
         metrics = self.metrics
         budget = self.budget
-        if (
-            budget is not None
-            and budget.max_input_bytes is not None
-            and len(data) > budget.max_input_bytes
-        ):
+        if budget.max_input_bytes is not None and len(data) > budget.max_input_bytes:
             record.degrade(
                 "budget",
                 f"input is {len(data):,} bytes; budget allows "
@@ -522,17 +519,11 @@ class AnalysisEngine:
                 metrics.counter("documents.degraded").inc()
             record.data = None
             return record
-        clock = budget.clock() if budget is not None else None
-        if not metrics.enabled and clock is None:
-            for stage in self.stages:  # the bare pre-resilience fast path
-                stage.process(record)
-        elif not metrics.enabled:
-            self._run_stages(record, clock, metrics)
-        else:
-            span = metrics.span("document", doc=digest).start()
-            try:
-                self._run_stages(record, clock, metrics)
-            finally:
+        span = metrics.span("document", doc=digest).start() if metrics.enabled else None
+        try:
+            self._run_stages(record, budget.clock(), metrics)
+        finally:
+            if span is not None:
                 span.finish(outcome="ok" if record.ok else "error")
                 record.timings["document"] = span.duration
         record.data = None  # bytes are consumed; keep records IPC-light
@@ -548,9 +539,9 @@ class AnalysisEngine:
 
     def _run_stages(self, record: DocumentRecord, clock, metrics) -> None:
         """The budgeted stage loop: degrade on crash, stop on timeout."""
-        budget = clock.budget if clock is not None else None
+        budget = clock.budget
         for stage in self.stages:
-            if clock is not None and clock.expired():
+            if clock.expired():
                 record.degrade(
                     "budget",
                     f"wall-clock budget {budget.wall_clock_s:g}s exhausted "
@@ -559,14 +550,9 @@ class AnalysisEngine:
                 if metrics.enabled:
                     metrics.counter("budget.timeouts").inc()
                 break
-            timeout = clock.stage_timeout() if clock is not None else None
+            timeout = clock.stage_timeout()
             try:
-                if timeout is not None:
-                    self._run_stage_watchdog(stage, record, timeout, metrics)
-                elif metrics.enabled:
-                    stage.run(record, metrics)
-                else:
-                    stage.process(record)
+                stage.run(record, metrics, timeout)
             except StageTimeout:
                 record.degrade(
                     "budget",
@@ -588,33 +574,7 @@ class AnalysisEngine:
                     metrics.counter(f"errors.{stage.name}").inc()
                 continue  # graceful degradation: later stages use what exists
             record.completed_stages.append(stage.name)
-            if budget is not None:
-                self._enforce_output_budget(record, budget, metrics)
-
-    def _run_stage_watchdog(
-        self, stage: Stage, record: DocumentRecord, timeout: float, metrics
-    ) -> None:
-        """One stage under the hard watchdog, with the span kept on the
-        calling thread so trace depth stays consistent."""
-        if not metrics.enabled:
-            call_with_timeout(lambda: stage.process(record), timeout)
-            return
-        before = len(record.diagnostics)
-        failed = False
-        span = metrics.span(stage.name, doc=record.sha256).start()
-        try:
-            call_with_timeout(lambda: stage.process(record), timeout)
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            errors = sum(
-                1 for d in record.diagnostics[before:] if d.level == "error"
-            )
-            if errors:
-                metrics.counter(f"errors.{stage.name}").inc(errors)
-            span.finish(outcome="error" if errors or failed else "ok")
-            record.timings[stage.name] = span.duration
+            self._enforce_output_budget(record, budget, metrics)
 
     def _enforce_output_budget(
         self, record: DocumentRecord, budget: Budget, metrics
@@ -653,27 +613,27 @@ class AnalysisEngine:
     def run_source(self, source: str, name: str = "Macro1") -> MacroRecord:
         """Run one bare VBA source through the macro-level stages.
 
-        The document budget's wall clock applies cooperatively: a source
-        that overruns it mid-pipeline comes back ``filtered="budget"``.
+        The source rides a one-macro document through :meth:`Stage.run`,
+        under the engine budget's clock: a source that overruns the wall
+        clock between stages, or whose stage outlives its hard timeout,
+        comes back ``filtered="budget"``.
         """
         macro = MacroRecord(module_name=name, source=source)
+        document = DocumentRecord(source_id=name, sha256=macro.sha256, macros=[macro])
         metrics = self.metrics
-        clock = self.budget.clock() if self.budget is not None else None
-        if not metrics.enabled:  # the hot single-shot path stays bare
-            for stage in self.stages:
-                if isinstance(stage, MacroStage) and macro.kept:
-                    if clock is not None and clock.expired():
-                        macro.filtered = "budget"
-                        break
-                    stage.process_macro(macro)
-        else:
-            for stage in self.stages:
-                if isinstance(stage, MacroStage) and macro.kept:
-                    if clock is not None and clock.expired():
-                        macro.filtered = "budget"
-                        metrics.counter("budget.timeouts").inc()
-                        break
-                    stage.run_macro(macro, metrics)
+        clock = self.budget.clock()
+        for stage in self.stages:
+            if not (isinstance(stage, MacroStage) and macro.kept):
+                continue
+            try:
+                if clock.expired():
+                    raise StageTimeout("wall-clock budget exhausted")
+                stage.run(document, metrics, clock.stage_timeout())
+            except StageTimeout:
+                macro.filtered = "budget"
+                if metrics.enabled:
+                    metrics.counter("budget.timeouts").inc()
+                break
         if not self.keep_analysis:
             macro.analysis = None
             macro.summary = None

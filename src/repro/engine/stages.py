@@ -1,10 +1,12 @@
 """Composable pipeline stages: bytes → modules → analysis → features → verdict.
 
 Each stage mutates the :class:`~repro.engine.records.DocumentRecord` in
-place and records what it did as diagnostics.  Document-level stages
-implement :meth:`Stage.process`; macro-level stages additionally expose
-:meth:`MacroStage.process_macro` so the engine can run a bare VBA source
-(no container) through the same code path.
+place and records what it did as diagnostics.  Stages implement
+:meth:`Stage.process`; macro-level stages implement
+:meth:`MacroStage.process_macro` per kept macro.  :meth:`Stage.run` is the
+one place the engine invokes a stage — for a document, and for a bare VBA
+source wrapped in a one-macro document — so the span, the registry
+hand-off, error counting and the hard watchdog are the same on every path.
 """
 
 from __future__ import annotations
@@ -23,33 +25,53 @@ class Stage:
 
     name = "stage"
 
-    #: The live registry, but only inside :meth:`run` / :meth:`run_macro`
-    #: — stages that record domain metrics (lint rule firings, score
-    #: distributions, feature moments) read it from :meth:`process` via
-    #: ``self._metrics``, and it resets to the null registry afterwards so
-    #: a bare ``process()`` call never records anything.
+    #: The live registry, but only inside :meth:`run` — stages that record
+    #: domain metrics (lint rule firings, score distributions, feature
+    #: moments) read it from :meth:`process` via ``self._metrics``, and it
+    #: resets to the null registry afterwards so a bare ``process()`` call
+    #: never records anything.
     _metrics = NULL_REGISTRY
 
     def process(self, document: DocumentRecord) -> None:
         raise NotImplementedError
 
-    def run(self, document: DocumentRecord, metrics) -> None:
-        """:meth:`process` inside a telemetry span.
+    def run(
+        self, document: DocumentRecord, metrics, timeout: float | None = None
+    ) -> None:
+        """:meth:`process` inside a telemetry span, optionally under the
+        hard watchdog.
 
         With a live registry the stage's wall time lands in the
-        ``span.<name>`` histogram and on ``document.timings``, and every
+        ``span.<name>`` histogram and on ``document.timings``,
+        :meth:`process` sees the registry as ``self._metrics``, and every
         error diagnostic the stage adds bumps the ``errors.<name>``
-        counter.  With the null registry this is a plain :meth:`process`
-        call — one attribute check of overhead.
+        counter.  With the null registry none of that happens.  Given a
+        ``timeout`` in seconds, :meth:`process` runs on a watchdog thread
+        (:func:`~repro.resilience.budgets.call_with_timeout`) and
+        :class:`~repro.resilience.budgets.StageTimeout` is raised when it
+        passes; the span stays on the calling thread so trace depth stays
+        consistent.
         """
+        if timeout is None:
+            work = self.process
+        else:
+            from repro.resilience.budgets import call_with_timeout
+
+            def work(document: DocumentRecord) -> None:
+                call_with_timeout(lambda: self.process(document), timeout)
+
         if not metrics.enabled:
-            self.process(document)
+            work(document)
             return
         before = len(document.diagnostics)
+        failed = False
         span = metrics.span(self.name, doc=document.sha256).start()
         self._metrics = metrics
         try:
-            self.process(document)
+            work(document)
+        except BaseException:
+            failed = True
+            raise
         finally:
             self._metrics = NULL_REGISTRY
             errors = sum(
@@ -57,7 +79,7 @@ class Stage:
             )
             if errors:
                 metrics.counter(f"errors.{self.name}").inc(errors)
-            span.finish(outcome="error" if errors else "ok")
+            span.finish(outcome="error" if errors or failed else "ok")
             document.timings[self.name] = span.duration
 
 
@@ -73,22 +95,6 @@ class MacroStage(Stage):
         self, macro: MacroRecord, document: DocumentRecord | None = None
     ) -> None:
         raise NotImplementedError
-
-    def run_macro(self, macro: MacroRecord, metrics) -> None:
-        """:meth:`process_macro` inside a span (the bare-source path)."""
-        if not metrics.enabled:
-            self.process_macro(macro)
-            return
-        span = metrics.span(self.name, doc=macro.sha256).start()
-        self._metrics = metrics
-        try:
-            self.process_macro(macro)
-        finally:
-            self._metrics = NULL_REGISTRY
-            failed = macro.filtered == "analysis-error"
-            if failed:
-                metrics.counter(f"errors.{self.name}").inc()
-            span.finish(outcome="error" if failed else "ok")
 
 
 class ExtractStage(Stage):
@@ -271,17 +277,7 @@ class FeaturizeStage(MacroStage):
             for macro, row in zip(pending, matrix):
                 macro.features[name] = row
             if metrics.enabled and len(matrix):
-                # One aggregate call per column per flush — the drift
-                # monitor's per-dimension moment summaries, at batch cost.
-                for index in range(matrix.shape[1]):
-                    column = matrix[:, index]
-                    metrics.moment(f"feature.{name}.c{index:02d}").observe_aggregate(
-                        matrix.shape[0],
-                        float(column.sum()),
-                        float((column * column).sum()),
-                        float(column.min()),
-                        float(column.max()),
-                    )
+                observe_feature_moments(metrics, name, matrix)
         cache = self.feature_cache
         if cache is not None:
             for macro in pending:
@@ -291,6 +287,30 @@ class FeaturizeStage(MacroStage):
                         {name: macro.features[name] for name in self.feature_sets},
                     )
         pending.clear()
+
+
+def observe_feature_moments(metrics, name: str, matrix: np.ndarray) -> None:
+    """Fold a flushed feature matrix into the per-dimension
+    ``feature.<set>.cNN`` moments the drift monitor reads.
+
+    One reduction per flush: each column is reduced as a row of the
+    transposed copy, which sums in the same pairwise order as the column
+    alone, so the moments are bit-identical to per-column sums
+    (``sum(axis=0)`` would not be).
+    """
+    columns = np.ascontiguousarray(matrix.T)
+    rows = matrix.shape[0]
+    for index, (total, squares, low, high) in enumerate(
+        zip(
+            columns.sum(axis=1).tolist(),
+            (columns * columns).sum(axis=1).tolist(),
+            columns.min(axis=1).tolist(),
+            columns.max(axis=1).tolist(),
+        )
+    ):
+        metrics.moment(f"feature.{name}.c{index:02d}").observe_aggregate(
+            rows, total, squares, low, high
+        )
 
 
 class RecoverStage(MacroStage):
@@ -310,11 +330,10 @@ class RecoverStage(MacroStage):
     #: Recovery-cache bound; one entry is one (small) StringRecovery.
     _CACHE_LIMIT = 4096
 
-    def __init__(self, sa_budget=None, rescan_signatures: bool = True) -> None:
+    def __init__(self, sa_budget=None) -> None:
         from repro.resilience.budgets import DEFAULT_SA_BUDGET
 
         self.sa_budget = sa_budget or DEFAULT_SA_BUDGET
-        self.rescan_signatures = rescan_signatures
         #: normalized-source digest → finished StringRecovery (frozen, so
         #: sharing across macros is safe).  Folding is a pure function of
         #: the normalized source + budget, which makes re-encoded variants
@@ -341,7 +360,7 @@ class RecoverStage(MacroStage):
             )
             values = recovery.values()
             signature_hits: tuple[str, ...] = ()
-            if self.rescan_signatures and values:
+            if values:
                 from repro.avsim.signatures import match_signatures
 
                 names = []

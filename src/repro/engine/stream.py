@@ -257,25 +257,22 @@ class StreamingPool:
         slot.owed = 1
         slot.unflushed = 0
 
-    def warm_up(self, *, wait_ready: bool = True) -> list[int]:
-        """Make sure every worker is up (and its imports paid) *now*.
+    def warm_up(self) -> list[int]:
+        """Block until every worker has loaded its engine; return the pids.
 
-        Workers spawn with the pool, so without ``wait_ready`` this only
-        reports their pids.  With it the call blocks until every worker
-        has loaded its engine; a worker that dies on the way is replaced
-        and not waited for.  Not for use while a stream runs.
+        A worker that dies on the way is replaced and not waited for.  Not
+        for use while a stream runs.
         """
-        if wait_ready:
-            engine = self._engine_ref()
-            for slot in self._slots:
-                while slot.owed:
-                    _wait_ready([slot.conn, slot.process.sentinel])
-                    message = _receive(slot, False)
-                    if message is None:
-                        self._restart_slot(slot)
-                        break
-                    slot.owed -= 1
-                    self._take_reply(engine, slot, message)
+        engine = self._engine_ref()
+        for slot in self._slots:
+            while slot.owed:
+                _wait_ready([slot.conn, slot.process.sentinel])
+                message = _receive(slot, False)
+                if message is None:
+                    self._restart_slot(slot)
+                    break
+                slot.owed -= 1
+                self._take_reply(engine, slot, message)
         return self.worker_pids()
 
     def _restart_slot(self, slot: _Slot) -> None:
@@ -904,11 +901,20 @@ def _stream_worker(conn, engine_pickle: bytes, telemetry_every: int) -> None:
     it degrades is marked with a ``deadline`` diagnostic so the parent
     never caches it.  ``"flush"`` asks for the telemetry now; ``None``
     ends the loop.
+
+    An idle worker waits on its pipe together with the parent's sentinel
+    and exits when the parent is gone: under ``fork`` it also holds the
+    parent's end of its own pipe, so a killed parent never shows as EOF.
+    A request already waiting skips that wait, so a busy worker pays one
+    ``poll`` per task.
     """
     engine = pickle.loads(engine_pickle)
+    parent = multiprocessing.parent_process().sentinel
     since_flush = 0
     _reply(conn, "ready", None, None)
     while True:
+        if not conn.poll() and conn not in _wait_ready([conn, parent]):
+            return  # the parent died
         try:
             request = pickle.loads(conn.recv_bytes())
         except EOFError:

@@ -361,8 +361,10 @@ class NullRegistry(MetricsRegistry):
     """The no-op registry: full API, zero work, zero events.
 
     Hot paths additionally guard on :attr:`enabled` so telemetry-off runs
-    skip even the null calls; this class exists so code that *doesn't*
-    guard still works unconditionally.
+    skip even the null calls: :meth:`repro.engine.stages.Stage.run`, the
+    one stage runner, checks it once per stage and then calls
+    ``process`` with no span, registry hand-off or timings.  This class
+    exists so code that *doesn't* guard still works unconditionally.
     """
 
     enabled = False

@@ -139,7 +139,7 @@ SA_BUDGET_PRESETS: dict[str, SABudget] = {
 }
 
 
-def clip_budget(budget: Budget | None, deadline_s: float) -> Budget:
+def clip_budget(budget: Budget, deadline_s: float) -> Budget:
     """The tighter of a standing budget and a per-request deadline.
 
     Serving front-ends carry an absolute deadline per request; the engine
@@ -152,14 +152,6 @@ def clip_budget(budget: Budget | None, deadline_s: float) -> Budget:
     interrupt a hung stage, and "408 on expiry" is a promise).
     """
     deadline_s = max(0.001, deadline_s)
-    if budget is None:
-        return Budget(
-            wall_clock_s=deadline_s,
-            stage_timeout_s=deadline_s,
-            max_input_bytes=None,
-            max_macro_count=None,
-            max_output_bytes=None,
-        )
     stage = budget.stage_timeout_s
     stage = deadline_s if stage is None else min(stage, deadline_s)
     wall = budget.wall_clock_s

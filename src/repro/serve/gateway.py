@@ -127,7 +127,7 @@ class AnalysisGateway:
         pool = self.engine._stream_pool(self.jobs, self.window)
         self._pool = pool
         self._restarts_seen = pool.worker_restarts
-        await asyncio.to_thread(pool.warm_up, wait_ready=True)
+        await asyncio.to_thread(pool.warm_up)
         self._warm = True
         self._dispatch_task = asyncio.create_task(
             self._dispatch(), name="repro-serve-dispatch"

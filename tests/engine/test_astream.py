@@ -135,7 +135,7 @@ class TestAsyncChaosUnderBackpressure:
 
         async def scenario():
             pool = engine._stream_pool(2, 4)
-            await asyncio.to_thread(pool.warm_up, wait_ready=True)
+            await asyncio.to_thread(pool.warm_up)
             before = pool.worker_pids()
             assert all(pid is not None for pid in before)
             records = await collect(

@@ -223,6 +223,39 @@ class TestWarmPool:
         assert len(pids) == 2
         assert not any(process_alive(pid) for pid in pids)
 
+    def test_parent_killed_leaves_no_worker(self):
+        script = (
+            "import sys, time\n"
+            "from repro.engine import AnalysisEngine\n"
+            "pairs = [(f'doc_{i}', b'not a document %d' % i) for i in range(6)]\n"
+            "engine = AnalysisEngine.for_extraction()\n"
+            "assert len(engine.run_batch(pairs, jobs=2)) == 6\n"
+            "print(' '.join(str(pid) for pid in engine._pool.worker_pids()))\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(300)\n"
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=repro_env(),
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()  # SIGKILL: no atexit, no finalizer, no close()
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5
+        while any(map(process_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = [pid for pid in pids if process_alive(pid)]
+        for pid in alive:  # do not leak them into the rest of the run
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
+
     def test_worker_killed_while_idle_is_replaced_without_blame(
         self, document_factory, recorded_sleeps
     ):
