@@ -30,7 +30,7 @@ from __future__ import annotations
 
 __version__ = "1.0.0"
 
-from repro.features.vfeatures import extract_v_features
+from repro.features.matrix import extract_matrices
 from repro.pipeline.classifiers import make_classifier, preprocessor_for
 
 
@@ -53,16 +53,14 @@ class ObfuscationDetector:
         """Train on macro source texts with 1 = obfuscated / 0 = normal."""
         import numpy as np
 
-        X = np.vstack([extract_v_features(source) for source in sources])
+        X = extract_matrices(sources, ("V",))["V"]
         if self._preprocessor is not None:
             X = self._preprocessor.fit_transform(X)
         self._model.fit(X, np.asarray(labels))
         return self
 
     def _features(self, sources: list[str]):
-        import numpy as np
-
-        X = np.vstack([extract_v_features(source) for source in sources])
+        X = extract_matrices(sources, ("V",))["V"]
         if self._preprocessor is not None:
             X = self._preprocessor.transform(X)
         return X

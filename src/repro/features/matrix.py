@@ -5,9 +5,10 @@ each macro is analyzed exactly once and summarized into an
 :class:`~repro.vba.analyzer.AnalysisSummary`; every requested set then
 vectorizes whole chunks at a time through its column-batch kernel (or the
 per-row fallback) via :meth:`~repro.features.registry.FeatureSet.extract_matrix`.
-Chunking keeps memory at ``O(chunk)`` analyses while preserving exact row
-values — the kernels are row-deterministic, so chunk boundaries never
-change a single bit of the output.
+Chunking keeps memory at ``O(chunk)`` analyses (only summaries, when every
+set has a batch kernel) while preserving exact row values — the kernels
+are row-deterministic, so chunk boundaries never change a single bit of
+the output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ FEATURE_SETS = ("V", "J")
 
 #: analyses held at once during matrix assembly (memory bound, not a
 #: semantic boundary — results are chunk-size invariant).
-_CHUNK_SIZE = 512
+_CHUNK_SIZE = 64
 
 
 def feature_names(feature_set: str) -> tuple[str, ...]:
@@ -44,11 +45,16 @@ def extract_matrices(
     chunk: list = []
 
     vectorized = any(fs.batch_extractor is not None for fs in sets)
+    # When every set has a batch kernel the chunk keeps only the small
+    # summaries, so each analysis (token table and all) is freed at once.
+    summaries_only = all(fs.batch_extractor is not None for fs in sets)
 
     def flush() -> None:
         if not chunk:
             return
-        if vectorized:
+        if summaries_only:
+            summaries = chunk
+        elif vectorized:
             summaries = [analysis.ensure_summary() for analysis in chunk]
         for fs in sets:
             blocks[fs.name].append(
@@ -59,7 +65,8 @@ def extract_matrices(
         chunk.clear()
 
     for source in sources:
-        chunk.append(analyze(source))
+        analysis = analyze(source)
+        chunk.append(analysis.ensure_summary() if summaries_only else analysis)
         if len(chunk) >= _CHUNK_SIZE:
             flush()
     flush()

@@ -178,14 +178,18 @@ class SVC(ClassifierMixin):
     def _fit_platt_scaling(self, X: np.ndarray, signs: np.ndarray) -> None:
         """Fit sigmoid P(y=1|f) = 1 / (1 + exp(A·f + B)) by gradient descent."""
         decisions = self.decision_function(X)
+        negated = -decisions
         targets = (signs + 1.0) / 2.0
+        n = decisions.shape[0]
         A, B = -1.0, 0.0
+        # Bare ufuncs: the np.mean / np.clip wrappers cost more than the
+        # arithmetic at this size, and these give the same bits.
         for _ in range(200):
             z = A * decisions + B
-            p = 1.0 / (1.0 + np.exp(np.clip(z, -35, 35)))
+            p = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(z, -35), 35)))
             gradient = p - targets  # d(-loglik)/dz with p = P(y=1)
-            grad_A = float(np.mean(gradient * -decisions))
-            grad_B = float(np.mean(-gradient))
+            grad_A = float(np.add.reduce(gradient * negated) / n)
+            grad_B = float(np.add.reduce(-gradient) / n)
             A -= 0.1 * grad_A
             B -= 0.1 * grad_B
         self._platt_A, self._platt_B = A, B

@@ -71,16 +71,15 @@ def extract_macros(data: bytes) -> ExtractionResult:
 
 
 def _extract_from_ooxml(data: bytes) -> ExtractionResult:
+    # One archive open serves both part reads; the VBA project is parsed
+    # before the variables part is read, so the first error wins as before.
     try:
-        vba_bin = ooxml.read_vba_part(data)
+        with ooxml.open_package(data) as archive:
+            inner = _extract_from_cfb(ooxml.vba_part(archive))
+            raw_docvars = ooxml.named_part(archive, ooxml.DOCVARS_PART)
     except ooxml.OOXMLError as error:
         raise ExtractionError(str(error)) from error
-    inner = _extract_from_cfb(vba_bin)
     result = ExtractionResult(container="ooxml", modules=inner.modules)
-    try:
-        raw_docvars = ooxml.read_part(data, ooxml.DOCVARS_PART)
-    except ooxml.OOXMLError as error:
-        raise ExtractionError(str(error)) from error
     if raw_docvars is not None:
         result.document_variables = docvars.decode_docvars(raw_docvars)
     return result

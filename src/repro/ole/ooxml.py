@@ -186,33 +186,40 @@ def is_zip(data: bytes) -> bool:
     return data[:4] in (b"PK\x03\x04", b"PK\x05\x06", b"PK\x07\x08")
 
 
-def read_vba_part(data: bytes) -> bytes:
-    """Locate and return the vbaProject.bin part of an OOXML package."""
+def open_package(data: bytes) -> zipfile.ZipFile:
+    """Open an OOXML package once, for any number of part reads."""
     if not is_zip(data):
         raise OOXMLError("not a zip package")
-    with _open_archive(data) as archive:
-        candidates = [
-            name
-            for name in archive.namelist()
-            if name.lower().endswith("vbaproject.bin")
-        ]
-        if not candidates:
-            raise OOXMLError("package has no vbaProject.bin part")
-        try:
-            return archive.read(candidates[0])
-        except _ZIP_READ_ERRORS as error:
-            raise OOXMLError(f"unreadable vbaProject.bin part: {error}") from error
+    return _open_archive(data)
 
 
-def read_part(data: bytes, part_name: str) -> bytes | None:
-    """Read one named part, or None when absent."""
-    with _open_archive(data) as archive:
-        try:
-            return archive.read(part_name)
-        except KeyError:
-            return None
-        except _ZIP_READ_ERRORS as error:
-            raise OOXMLError(f"unreadable part {part_name!r}: {error}") from error
+def vba_part(archive: zipfile.ZipFile) -> bytes:
+    """The vbaProject.bin part of an open package."""
+    candidates = [
+        name for name in archive.namelist() if name.lower().endswith("vbaproject.bin")
+    ]
+    if not candidates:
+        raise OOXMLError("package has no vbaProject.bin part")
+    try:
+        return archive.read(candidates[0])
+    except _ZIP_READ_ERRORS as error:
+        raise OOXMLError(f"unreadable vbaProject.bin part: {error}") from error
+
+
+def named_part(archive: zipfile.ZipFile, part_name: str) -> bytes | None:
+    """One named part of an open package, or None when absent."""
+    try:
+        return archive.read(part_name)
+    except KeyError:
+        return None
+    except _ZIP_READ_ERRORS as error:
+        raise OOXMLError(f"unreadable part {part_name!r}: {error}") from error
+
+
+def read_vba_part(data: bytes) -> bytes:
+    """Locate and return the vbaProject.bin part of an OOXML package."""
+    with open_package(data) as archive:
+        return vba_part(archive)
 
 
 def list_parts(data: bytes) -> list[str]:

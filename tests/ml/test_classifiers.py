@@ -6,7 +6,7 @@ import pytest
 from repro.ml.base import NotFittedError
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.lda import LinearDiscriminantAnalysis
-from repro.ml.mlp import MLPClassifier
+from repro.ml.mlp import MLPClassifier, _parameter_vector
 from repro.ml.naive_bayes import BernoulliNB
 from repro.ml.svm import SVC, rbf_kernel
 from repro.ml.tree import DecisionTreeClassifier
@@ -269,27 +269,30 @@ class TestMLP:
             MLPClassifier(validation_fraction=1.5)
 
     def test_gradient_check(self):
-        """Numerical gradient check on a tiny network."""
+        """Numerical gradient check on a tiny network, against the flat
+        gradient vector the training loop writes through its layer views."""
         rng = np.random.default_rng(0)
         X = rng.normal(size=(10, 3))
         y = rng.integers(0, 2, size=10)
         model = MLPClassifier(hidden_layer_sizes=(4,), random_state=0, alpha=0.0)
         model.fit(X[:2], y[:2] if len(set(y[:2])) == 2 else np.array([0, 1]))
         targets = y.astype(float)
-        grads_w, _, _ = model._backprop(X, targets)
+        grads, grads_w, grads_b = _parameter_vector((3, 4, 1))
+        grads.fill(np.nan)
+        model._backprop(X, targets, grads_w, grads_b)
+        assert np.isfinite(grads).all()  # every entry written
         epsilon = 1e-6
-        weight = model._weights[0]
-        numeric = np.zeros_like(weight)
-        for i in range(weight.shape[0]):
-            for j in range(weight.shape[1]):
-                original = weight[i, j]
-                weight[i, j] = original + epsilon
+        numeric = []
+        for array in (model._weights[0], model._biases[0], model._weights[1], model._biases[1]):
+            for index in np.ndindex(array.shape):
+                original = array[index]
+                array[index] = original + epsilon
                 up = model._loss(X, targets)
-                weight[i, j] = original - epsilon
+                array[index] = original - epsilon
                 down = model._loss(X, targets)
-                weight[i, j] = original
-                numeric[i, j] = (up - down) / (2 * epsilon)
-        assert np.allclose(grads_w[0], numeric, atol=1e-4)
+                array[index] = original
+                numeric.append((up - down) / (2 * epsilon))
+        assert np.allclose(grads, numeric, atol=1e-4)
 
 
 class TestLDA:

@@ -11,7 +11,7 @@ from repro.ole.extractor import (
     extract_macros,
     sniff_format,
 )
-from repro.ole.ooxml import build_docm, build_xlsm, list_parts, read_vba_part
+from repro.ole.ooxml import DOCVARS_PART, build_docm, build_xlsm, list_parts, read_vba_part
 from repro.ole.vba_project import (
     VBAModule,
     VBAProjectError,
@@ -174,6 +174,32 @@ class TestOOXMLExtraction:
             archive.writestr("hello.txt", "hi")
         with pytest.raises(ExtractionError):
             extract_macros(buffer.getvalue())
+
+    def test_each_package_is_opened_once(self, monkeypatch):
+        import zipfile
+
+        from repro.ole import ooxml
+
+        opened = []
+
+        class CountingZipFile(zipfile.ZipFile):
+            def __init__(self, *args, **kwargs):
+                opened.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ooxml.zipfile, "ZipFile", CountingZipFile)
+        vba = build_vba_bin([VBAModule("Module1", MACRO_A)])
+        variables = {"UserForm1.Label1.Caption": "calc.exe"}
+        documents = [
+            build_docm(vba),
+            build_xlsm(vba),
+            build_docm(vba, extra_parts={DOCVARS_PART: encode_docvars(variables)}),
+        ]
+        opened.clear()
+        results = [extract_macros(blob) for blob in documents]
+        assert len(opened) == len(documents)
+        assert [r.modules[0].source for r in results] == [MACRO_A] * 3
+        assert results[2].document_variables == variables
 
 
 class TestSniffing:
